@@ -87,19 +87,13 @@ fn wall_coverage(p: &Profile) -> f64 {
     p.rec.timings.total_wall_seconds() / p.solve_wall
 }
 
-fn headers() -> Vec<&'static str> {
-    let mut h = vec!["m", "n", "iters", "sim-s"];
-    h.extend([
-        "pricing-%",
-        "btran-%",
-        "ftran-%",
-        "ratio-%",
-        "update-%",
-        "refactor-%",
-        "transfer-%",
-    ]);
-    h.push("top-2");
-    h.push("wall-cover-%");
+/// Table columns; one share column per [`StepKind`], so a new step kind
+/// widens the header and every row together.
+fn headers() -> Vec<String> {
+    let mut h: Vec<String> = ["m", "n", "iters", "sim-s"].map(String::from).into();
+    h.extend(StepKind::ALL.iter().map(|k| format!("{}-%", k.name())));
+    h.push("top-2".into());
+    h.push("wall-cover-%".into());
     h
 }
 
@@ -224,5 +218,21 @@ fn write_bench_json(cpu: &[Profile], gpu: &[Profile], fingerprints: (u64, u64)) 
     match std::fs::write("BENCH_o1.json", &s) {
         Ok(()) => println!("   -> BENCH_o1.json"),
         Err(e) => eprintln!("   !! could not write BENCH_o1.json: {e}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Regression: the header once hard-coded seven step columns while
+    /// every row carries one share per `StepKind::ALL` entry, so the first
+    /// `Table::push` panicked with "row width mismatch".
+    #[test]
+    fn header_width_matches_row_width() {
+        let p = profile(8, 24, 7, &Target::cpu());
+        assert_eq!(headers().len(), share_row(&p).len());
+        let mut t = Table::new(headers());
+        t.push(share_row(&p));
     }
 }

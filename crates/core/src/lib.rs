@@ -42,6 +42,7 @@ pub mod basis;
 pub mod batch;
 pub mod checkpoint;
 pub mod error;
+mod lane;
 pub mod metrics;
 pub mod options;
 pub mod pdhg;
@@ -58,11 +59,7 @@ pub mod verify;
 pub use backend::{Backend, RatioOutcome};
 pub use backends::{BatchKernelBackend, BatchMember, LaneView};
 pub use basis::{Eta, EtaFile};
-pub use batch::mega::{
-    mega_compatible, try_solve_family_mega, try_solve_family_mega_ckpt,
-    try_solve_family_mega_ckpt_recorded, try_solve_family_mega_recorded, LaneOutcome,
-    MegaFamilyRun,
-};
+pub use batch::mega::{mega_compatible, solve_family_mega, LaneOutcome, MegaFamilyRun};
 pub use batch::{
     BasisCache, BatchOptions, BatchReport, BatchSolver, BatchStats, CacheStats, JobOutcome,
     JobResult, PlacementPolicy, WarmStartPolicy,

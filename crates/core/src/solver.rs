@@ -501,11 +501,16 @@ pub fn try_solve_standard_ckpt<T: Scalar>(
     )
 }
 
-/// Wire a recovery context into a constructed driver (no-op without one).
-fn arm_recovery<'a, T: Scalar, B: crate::backend::Backend<T>, R: Recorder>(
+/// Wire a warm basis and a recovery context into a constructed driver
+/// (no-op without either).
+fn arm<'a, T: Scalar, B: crate::backend::Backend<T>, R: Recorder>(
     driver: &mut RevisedSimplex<'a, T, B, R>,
+    warm: Option<Vec<usize>>,
     rcv: Option<RecoveryContext<'a>>,
 ) {
+    if let Some(basis) = warm {
+        driver.set_start_basis(basis);
+    }
     if let Some(rcv) = rcv {
         driver.attach_checkpoint_slot(rcv.slot);
         if let Some(cp) = rcv.resume {
@@ -522,25 +527,15 @@ fn drive<'a, T: Scalar, B: crate::backend::Backend<T>, R: Recorder>(
     rec: Option<&'a mut R>,
     rcv: Option<RecoveryContext<'a>>,
 ) -> Result<StdResult<T>, SolveError> {
-    match (warm, rec) {
-        (Some(basis), Some(rec)) => {
-            let mut d = RevisedSimplex::with_start_basis_and_recorder(be, sf, opts, basis, rec);
-            arm_recovery(&mut d, rcv);
-            d.try_solve()
-        }
-        (Some(basis), None) => {
-            let mut d = RevisedSimplex::with_start_basis(be, sf, opts, basis);
-            arm_recovery(&mut d, rcv);
-            d.try_solve()
-        }
-        (None, Some(rec)) => {
+    match rec {
+        Some(rec) => {
             let mut d = RevisedSimplex::with_recorder(be, sf, opts, rec);
-            arm_recovery(&mut d, rcv);
+            arm(&mut d, warm, rcv);
             d.try_solve()
         }
-        (None, None) => {
+        None => {
             let mut d = RevisedSimplex::new(be, sf, opts);
-            arm_recovery(&mut d, rcv);
+            arm(&mut d, warm, rcv);
             d.try_solve()
         }
     }

@@ -5,8 +5,8 @@
 
 use gplex::batch::{BatchOptions, BatchSolver, PlacementPolicy};
 use gplex::{
-    mega_compatible, solve_on, solve_standard, try_solve_family_mega,
-    try_solve_family_mega_recorded, BackendKind, SolverOptions, Status, StepKind, TraceRecorder,
+    mega_compatible, solve_family_mega, solve_on, solve_standard, BackendKind, LaneOutcome,
+    NoopRecorder, Recorder, SolveError, SolverOptions, Status, StdResult, StepKind, TraceRecorder,
 };
 use gpu_sim::{DeviceSpec, Gpu};
 use lp::generator::{self, fixtures};
@@ -26,13 +26,33 @@ fn standardize(jobs: &[LinearProgram]) -> Vec<StandardForm<f64>> {
         .collect()
 }
 
+/// Solve `sfs` as one fault-free lockstep family and unwrap each lane's
+/// drained result (no lane may be evacuated without a device fault).
+fn family_results<R: Recorder>(
+    gpu: &Gpu,
+    sfs: &[&StandardForm<f64>],
+    opts: &SolverOptions,
+    warm: Vec<Option<Vec<usize>>>,
+    recs: Option<&mut [R]>,
+) -> Vec<Result<StdResult<f64>, SolveError>> {
+    let run = solve_family_mega::<f64, R>(gpu, sfs, opts, warm, recs).expect("family machinery ok");
+    assert!(run.fault.is_none(), "fault-free family run");
+    run.lanes
+        .into_iter()
+        .map(|lane| match lane {
+            LaneOutcome::Done(r) => r.map(|b| *b),
+            LaneOutcome::Evacuated { .. } => panic!("lane evacuated without a fault"),
+        })
+        .collect()
+}
+
 /// Core differential harness: solve `sfs` as one lockstep family and pin
 /// every lane bitwise to the solo `cpu-dense` solve of the same form.
 fn assert_family_matches_solo(sfs: &[StandardForm<f64>], opts: &SolverOptions) {
     let gpu = Gpu::new(DeviceSpec::gtx280());
     let refs: Vec<&StandardForm<f64>> = sfs.iter().collect();
     let warm = vec![None; sfs.len()];
-    let lanes = try_solve_family_mega::<f64>(&gpu, &refs, opts, warm).expect("family machinery ok");
+    let lanes = family_results::<NoopRecorder>(&gpu, &refs, opts, warm, None);
     assert_eq!(lanes.len(), sfs.len());
     for (b, lane) in lanes.into_iter().enumerate() {
         let mega = lane.unwrap_or_else(|e| panic!("lane {b} failed: {e}"));
@@ -46,6 +66,32 @@ fn assert_family_matches_solo(sfs: &[StandardForm<f64>], opts: &SolverOptions) {
         assert_eq!(
             mega.stats.pivot_fingerprint, solo.stats.pivot_fingerprint,
             "lane {b} pivot fingerprint"
+        );
+        let (m, s) = (&mega.stats, &solo.stats);
+        assert_eq!(
+            m.phase1_iterations, s.phase1_iterations,
+            "lane {b} phase-1 iterations"
+        );
+        assert_eq!(m.phase, s.phase, "lane {b} per-phase counters");
+        assert_eq!(
+            m.degenerate_steps, s.degenerate_steps,
+            "lane {b} degenerate steps"
+        );
+        assert_eq!(
+            m.bland_iterations, s.bland_iterations,
+            "lane {b} Bland iterations"
+        );
+        assert_eq!(
+            m.refactorizations, s.refactorizations,
+            "lane {b} refactorizations"
+        );
+        assert_eq!(
+            m.warm_start_attempted, s.warm_start_attempted,
+            "lane {b} warm attempts"
+        );
+        assert_eq!(
+            m.warm_start_rejected, s.warm_start_rejected,
+            "lane {b} warm rejections"
         );
         assert_eq!(
             mega.z_std.to_bits(),
@@ -107,6 +153,26 @@ fn bland_rule_family_bitwise_parity() {
         .map(|s| generator::dense_random(6, 9, s + 50))
         .collect();
     assert_family_matches_solo(&standardize(&jobs), &opts);
+}
+
+/// Degenerate lanes: Beale's cycling example at a hair-trigger stall
+/// threshold drives every lane through the stall → Bland escalation, and
+/// the lane counters (degenerate steps, Bland iterations) match solo.
+#[test]
+fn degenerate_family_escalates_to_bland_like_solo() {
+    let jobs: Vec<LinearProgram> = (0..4).map(|_| fixtures::beale_cycling().0).collect();
+    let sfs = standardize(&jobs);
+    let opts = SolverOptions {
+        stall_threshold: 1,
+        ..raw_opts()
+    };
+    assert_family_matches_solo(&sfs, &opts);
+    let solo = solve_standard::<f64>(&sfs[0], &opts, &BackendKind::CpuDense);
+    assert!(solo.stats.degenerate_steps > 0, "fixture must stall");
+    assert!(
+        solo.stats.bland_iterations > 0,
+        "stall must escalate to Bland"
+    );
 }
 
 /// End-to-end through [`BatchSolver`]: grouped jobs return the same
@@ -191,8 +257,7 @@ fn all_members_converge_same_round() {
     let sfs = standardize(&jobs);
     let gpu = Gpu::new(DeviceSpec::gtx280());
     let refs: Vec<&StandardForm<f64>> = sfs.iter().collect();
-    let lanes = try_solve_family_mega::<f64>(&gpu, &refs, &raw_opts(), vec![None; 3])
-        .expect("machinery ok");
+    let lanes = family_results::<NoopRecorder>(&gpu, &refs, &raw_opts(), vec![None; 3], None);
     let results: Vec<_> = lanes.into_iter().map(|l| l.expect("solved")).collect();
     for r in &results {
         assert_eq!(r.status, Status::Optimal);
@@ -243,14 +308,7 @@ fn iteration_limit_member_statuses_and_idle_lanes_accrue_nothing() {
     let gpu = Gpu::new(DeviceSpec::gtx280());
     let refs = vec![&sf_fast, &sf_slow];
     let mut recs = vec![TraceRecorder::default(), TraceRecorder::default()];
-    let lanes = try_solve_family_mega_recorded::<f64, TraceRecorder>(
-        &gpu,
-        &refs,
-        &opts,
-        vec![None, None],
-        Some(&mut recs),
-    )
-    .expect("machinery ok");
+    let lanes = family_results(&gpu, &refs, &opts, vec![None, None], Some(&mut recs));
     let fast = lanes[0].as_ref().expect("fast lane solved");
     let slow = lanes[1].as_ref().expect("slow lane returned");
     assert_eq!(fast.status, Status::Optimal);
@@ -280,16 +338,14 @@ fn group_warm_seeding_from_single_family_basis() {
     let refs: Vec<&StandardForm<f64>> = sfs.iter().collect();
     let opts = raw_opts();
     let gpu = Gpu::new(DeviceSpec::gtx280());
-    let cold = try_solve_family_mega::<f64>(&gpu, &refs, &opts, vec![None; 5])
-        .expect("machinery ok")
+    let cold = family_results::<NoopRecorder>(&gpu, &refs, &opts, vec![None; 5], None)
         .into_iter()
         .map(|l| l.expect("solved"))
         .collect::<Vec<_>>();
     let family_basis = cold[0].basis.clone();
     let warm = vec![Some(family_basis); 5];
     let gpu2 = Gpu::new(DeviceSpec::gtx280());
-    let warm_res = try_solve_family_mega::<f64>(&gpu2, &refs, &opts, warm)
-        .expect("machinery ok")
+    let warm_res = family_results::<NoopRecorder>(&gpu2, &refs, &opts, warm, None)
         .into_iter()
         .map(|l| l.expect("solved"))
         .collect::<Vec<_>>();

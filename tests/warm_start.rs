@@ -191,9 +191,10 @@ fn rejected_warm_path_charges_land_exactly_once() {
     bad[1] = bad[0];
 
     let mut be = CpuDenseBackend::new(&sf.a, &sf.b, n_active, &sf.basis0);
-    let res = RevisedSimplex::with_start_basis(&mut be, &sf, &opts(), bad)
-        .try_solve()
-        .unwrap();
+    let o = opts();
+    let mut driver = RevisedSimplex::new(&mut be, &sf, &o);
+    driver.set_start_basis(bad);
+    let res = driver.try_solve().unwrap();
     assert_eq!(res.status, Status::Optimal);
     assert_eq!(res.stats.warm_start_rejected, 1);
     let clock = be.clock().as_nanos();
