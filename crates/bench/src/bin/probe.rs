@@ -1,5 +1,5 @@
 //! Quick calibration probe (not part of the repro suite).
-use gplex::{solve_standard, BackendKind, PivotRule, SolverOptions};
+use gplex::{try_solve_standard, BackendKind, NoopRecorder, PivotRule, SolverOptions};
 use gpu_sim::DeviceSpec;
 use lp::{generator, StandardForm};
 
@@ -8,7 +8,7 @@ fn main() {
         let model = generator::dense_random(m, m, 1);
         let sf64 = StandardForm::<f64>::from_lp(&model).unwrap();
         let sf32 = StandardForm::<f32>::from_lp(&model).unwrap();
-        let oracle = solve_standard::<f64>(
+        let oracle = try_solve_standard::<f64, _>(
             &sf64,
             &SolverOptions {
                 presolve: false,
@@ -16,7 +16,11 @@ fn main() {
                 ..Default::default()
             },
             &BackendKind::CpuDense,
-        );
+            None,
+            None,
+            &mut NoopRecorder,
+        )
+        .expect("solve");
         for period in [0usize, 256] {
             let opts = SolverOptions {
                 pivot_rule: PivotRule::Hybrid,
@@ -25,9 +29,24 @@ fn main() {
                 refactor_period: period,
                 ..Default::default()
             };
-            let c = solve_standard::<f32>(&sf32, &opts, &BackendKind::CpuDense);
-            let g =
-                solve_standard::<f32>(&sf32, &opts, &BackendKind::GpuDense(DeviceSpec::gtx280()));
+            let c = try_solve_standard::<f32, _>(
+                &sf32,
+                &opts,
+                &BackendKind::CpuDense,
+                None,
+                None,
+                &mut NoopRecorder,
+            )
+            .expect("solve");
+            let g = try_solve_standard::<f32, _>(
+                &sf32,
+                &opts,
+                &BackendKind::GpuDense(DeviceSpec::gtx280()),
+                None,
+                None,
+                &mut NoopRecorder,
+            )
+            .expect("solve");
             println!("m={m:4} p={period:3} cpu[{:?} it={} bland={} degen={} sim={:.2}s] gpu[{:?} it={} sim={:.2}s] spd={:.2} err32_64={:.1e} cpu_gpu_d={:.1e}",
                 c.status, c.stats.iterations, c.stats.bland_iterations, c.stats.degenerate_steps,
                 c.stats.total_time().as_secs_f64(),

@@ -4,7 +4,8 @@
 //! repro [--exp <id>[,<id>…]|all] [--quick] [--out <dir>]
 //! ```
 //!
-//! Experiment ids (DESIGN.md §3): t1 f1 f2 t2 t3 f3 f4 t4 f5 t5.
+//! Experiment ids: `gplex_bench::experiments::all_ids()` (`repro --help`
+//! prints them); DESIGN.md §3 and EXPERIMENTS.md describe each one.
 //! `--quick` shrinks the grids for smoke runs; `--out` defaults to
 //! `results/`.
 

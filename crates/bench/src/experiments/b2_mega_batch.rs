@@ -29,7 +29,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use gplex::batch::PlacementPolicy;
-use gplex::{solve_on, BackendKind, BatchOptions, BatchReport, BatchSolver, Status};
+use gplex::{try_solve_on, BackendKind, BatchOptions, BatchReport, BatchSolver, Status};
 use gpu_sim::{DeviceSpec, Gpu};
 use lp::generator;
 
@@ -102,7 +102,9 @@ fn measure_cell(width: usize, m: usize, n: usize, seed: u64) -> CellPoint {
 
     let solo: Vec<_> = jobs
         .iter()
-        .map(|j| solve_on::<f64>(j, &Default::default(), &BackendKind::CpuDense))
+        .map(|j| {
+            try_solve_on::<f64>(j, &Default::default(), &BackendKind::CpuDense).expect("solve")
+        })
         .collect();
 
     let stream_dev = Arc::new(Gpu::new(DeviceSpec::gtx280()));

@@ -72,7 +72,9 @@ fn timed_solve(
     };
     let gpu = Gpu::new(DeviceSpec::gtx280());
     let mut be = GpuDenseBackend::new(&gpu, &sf.a, &sf.b, n_active, &sf.basis0);
-    let res = RevisedSimplex::new(&mut be, &sf, &opts).solve();
+    let res = RevisedSimplex::new(&mut be, &sf, &opts)
+        .try_solve()
+        .expect("solve");
     let c = gpu.counters();
     let iters = res.stats.iterations.max(1);
     let per_iter = |ns: f64| ns / iters as f64;

@@ -199,8 +199,12 @@ fn run_standard_impl<T: Scalar, R: Recorder>(
         rec: Option<&'a mut R>,
     ) -> StdResult<T> {
         match rec {
-            Some(r) => RevisedSimplex::with_recorder(be, sf, opts, r).solve(),
-            None => RevisedSimplex::new(be, sf, opts).solve(),
+            Some(r) => RevisedSimplex::with_recorder(be, sf, opts, r)
+                .try_solve()
+                .expect("solve"),
+            None => RevisedSimplex::new(be, sf, opts)
+                .try_solve()
+                .expect("solve"),
         }
     }
 

@@ -424,7 +424,7 @@ impl<'a, 'g, T: Scalar, R: Recorder> MegaDriver<'a, 'g, T, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::solve_standard;
+    use crate::solver::try_solve_standard;
     use crate::solver::BackendKind;
     use crate::trace::NoopRecorder;
     use gpu_sim::DeviceSpec;
@@ -472,7 +472,15 @@ mod tests {
                 );
             } else {
                 let r = outcome.as_ref().expect("sibling lane solved");
-                let solo = solve_standard::<f64>(&sfs[b], &opts, &BackendKind::CpuDense);
+                let solo = try_solve_standard::<f64, _>(
+                    &sfs[b],
+                    &opts,
+                    &BackendKind::CpuDense,
+                    None,
+                    None,
+                    &mut NoopRecorder,
+                )
+                .unwrap();
                 assert_eq!(r.status, solo.status, "lane {b} status");
                 assert_eq!(
                     r.z_std.to_bits(),

@@ -3,7 +3,7 @@
 //! The paper solves one LP at a time; real deployments of the era
 //! (portfolio rebalancing, per-scenario planning, branch-and-bound nodes)
 //! solve *fleets* of independent LPs. This module adds that layer on top of
-//! [`crate::solve_on`]:
+//! [`crate::try_solve_on`]:
 //!
 //! * [`BatchSolver`] takes a slice of [`LinearProgram`]s plus one
 //!   [`SolverOptions`] for the batch and dispatches the solves across a
@@ -68,8 +68,8 @@ use crate::error::SolveError;
 use crate::options::SolverOptions;
 use crate::resilient::{ResilienceOptions, ResilientSolver};
 use crate::solver::{
-    finalize, prepare, settle_warm, solve_on_warm, try_solve_standard_ckpt, BackendKind, Prepared,
-    WarmContext,
+    finalize, prepare, settle_warm, try_solve_on_warm, try_solve_standard, BackendKind, Prepared,
+    RecoveryContext, WarmContext,
 };
 use crate::trace::NoopRecorder;
 
@@ -269,11 +269,20 @@ impl BatchSolver {
                                 // one poisoned model cannot take down the
                                 // batch (and a panic inside a shared Stream
                                 // leaves the job terminally Panicked — it is
-                                // never re-run).
+                                // never re-run). A machinery error is
+                                // terminal here too: `Failed` is reserved
+                                // for the resilience ladder.
                                 let outcome = match catch_unwind(AssertUnwindSafe(|| {
-                                    solve_on_warm::<T>(job, &opts.solver, &kind, warm_ctx.as_ref())
+                                    try_solve_on_warm::<T>(
+                                        job,
+                                        &opts.solver,
+                                        &kind,
+                                        warm_ctx.as_ref(),
+                                        None,
+                                    )
                                 })) {
-                                    Ok(sol) => JobOutcome::Solved(Box::new(sol)),
+                                    Ok(Ok(sol)) => JobOutcome::Solved(Box::new(sol)),
+                                    Ok(Err(e)) => JobOutcome::Panicked(e.to_string()),
                                     Err(payload) => JobOutcome::Panicked(panic_message(&*payload)),
                                 };
                                 let faults = outcome
@@ -294,7 +303,7 @@ impl BatchSolver {
                                     // itself be fault-quarantined.
                                     kind = BackendKind::CpuDense;
                                 }
-                                let out = solver.solve_job_warm::<T>(
+                                let out = solver.solve_job::<T>(
                                     idx as u64,
                                     job,
                                     &opts.solver,
@@ -472,7 +481,9 @@ fn mega_prepass<T: Scalar>(
             .policy
             .place(idx, job.num_constraints(), job.num_vars())
             .label();
-        match catch_unwind(AssertUnwindSafe(|| prepare::<T>(job, &opts.solver))) {
+        match catch_unwind(AssertUnwindSafe(|| {
+            prepare::<T>(job, opts.solver.presolve, opts.solver.scale)
+        })) {
             Err(payload) => {
                 slots.lock()[idx] = Some(pre_result(
                     idx,
@@ -619,14 +630,18 @@ fn mega_prepass<T: Scalar>(
                             let ckpt_iters = resume.as_ref().map_or(0, |cp| cp.stats.iterations);
                             let wasted = died_at_iteration.saturating_sub(ckpt_iters) as u64;
                             let slot = CheckpointSlot::new();
+                            let rcv = RecoveryContext {
+                                slot: &slot,
+                                resume,
+                            };
                             let salvage = catch_unwind(AssertUnwindSafe(|| {
-                                try_solve_standard_ckpt::<T>(
+                                try_solve_standard::<T, _>(
                                     sf,
                                     &salvage_opts,
                                     &BackendKind::CpuDense,
                                     None,
-                                    &slot,
-                                    resume,
+                                    Some(rcv),
+                                    &mut NoopRecorder,
                                 )
                             }));
                             let mut jr = match salvage {
@@ -771,7 +786,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::result::Status;
-    use crate::solver::solve_on;
+    use crate::solver::try_solve_on;
     use lp::generator::{self, fixtures};
 
     fn batch_of(n: usize) -> Vec<LinearProgram> {
@@ -791,7 +806,9 @@ mod tests {
         assert_eq!(report.results.len(), 12);
         for (i, r) in report.results.iter().enumerate() {
             assert_eq!(r.index, i);
-            let seq = solve_on::<f64>(&jobs[i], &SolverOptions::default(), &BackendKind::CpuDense);
+            let seq =
+                try_solve_on::<f64>(&jobs[i], &SolverOptions::default(), &BackendKind::CpuDense)
+                    .unwrap();
             let sol = r.outcome.solution().expect("no panic");
             assert_eq!(sol.status, seq.status);
             assert!((sol.objective - seq.objective).abs() < 1e-12);
@@ -938,7 +955,9 @@ mod tests {
         // Every faulted-then-recovered job still matches the CPU answer.
         for (i, r) in report.results.iter().enumerate() {
             let sol = r.outcome.solution().expect("terminal solution");
-            let seq = solve_on::<f64>(&jobs[i], &SolverOptions::default(), &BackendKind::CpuDense);
+            let seq =
+                try_solve_on::<f64>(&jobs[i], &SolverOptions::default(), &BackendKind::CpuDense)
+                    .unwrap();
             assert_eq!(sol.status, seq.status, "job {i}");
             assert!(
                 (sol.objective - seq.objective).abs() < 1e-6 * (1.0 + seq.objective.abs()),

@@ -19,8 +19,9 @@ pub enum JobOutcome {
     /// preserved. Only produced when [`crate::BatchOptions::resilience`]
     /// is set.
     Failed(String),
-    /// The solve panicked; the pool caught it and kept going. The payload
-    /// message is preserved for the report. Terminal: a job that panics is
+    /// The solve panicked — or, on the direct path, returned a
+    /// [`crate::SolveError`] — and the pool kept going. The payload or
+    /// error message is preserved for the report. Terminal: a job that panics is
     /// never silently re-run as `Solved`.
     Panicked(String),
 }

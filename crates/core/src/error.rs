@@ -11,11 +11,11 @@
 //!   `SolveError` means the solve was cut short by machinery, not
 //!   mathematics.
 //!
-//! The fallible entry points (`try_solve*` in [`crate::solver`],
-//! [`crate::revised::RevisedSimplex::try_solve`]) return these; the
-//! infallible names keep their historical panic-on-device-failure behavior
-//! by unwrapping them. [`crate::resilient::ResilientSolver`] is the layer
-//! that turns `SolveError`s into retries and backend degradation.
+//! Every solve entry point except the [`crate::solve`] one-liner returns
+//! these: `try_solve*` in [`crate::solver`] and [`crate::pdhg`], and
+//! [`crate::revised::RevisedSimplex::try_solve`]. Callers that prefer a
+//! panic `expect` the result. [`crate::resilient::ResilientSolver`] is the
+//! layer that turns `SolveError`s into retries and backend degradation.
 
 use std::fmt;
 

@@ -68,17 +68,15 @@ pub use checkpoint::{CheckpointSlot, SolveCheckpoint};
 pub use error::{BackendError, SolveError};
 pub use metrics::{MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use options::{BasisRepresentation, DegeneracyPolicy, PivotRule, SolverOptions};
-pub use pdhg::{crossover_prefers_pdhg, model_density, PdhgOptions, PdhgStdResult};
+pub use pdhg::{crossover_prefers_pdhg, model_density, PdhgOptions};
 pub use resilient::{
     AlgorithmChoice, ResilienceOptions, ResilientOutcome, ResilientSolver, RetryPolicy,
 };
 pub use result::{LpSolution, Status, StdResult};
 pub use revised::RevisedSimplex;
 pub use solver::{
-    solve, solve_on, solve_on_warm, solve_standard, solve_standard_with_basis, try_solve,
-    try_solve_on, try_solve_on_recorded, try_solve_on_warm, try_solve_on_warm_ckpt,
-    try_solve_standard, try_solve_standard_ckpt, try_solve_standard_recorded,
-    try_solve_standard_with_basis, BackendKind, RecoveryContext, WarmContext,
+    solve, try_solve_on, try_solve_on_recorded, try_solve_on_warm, try_solve_standard, BackendKind,
+    RecoveryContext, WarmContext,
 };
 pub use stats::{PhaseCounters, SolveStats, Step};
 pub use trace::{

@@ -59,7 +59,7 @@
 
 use std::time::Instant;
 
-use gpu_sim::{DeviceBuffer, FaultConfig, FaultPlan, Gpu, Launcher, SimTime, Stream};
+use gpu_sim::{DeviceBuffer, DeviceError, FaultConfig, Gpu, Launcher, SimTime};
 use linalg::cpu_model::{CpuClock, CpuModel};
 use linalg::gpu as gblas;
 use linalg::{CooMatrix, CscMatrix, CsrMatrix, DenseMatrix, DeviceCsc, DeviceCsr, Scalar};
@@ -67,7 +67,7 @@ use lp::{LinearProgram, StandardForm};
 
 use crate::error::SolveError;
 use crate::result::{LpSolution, Status};
-use crate::solver::{prepare, BackendKind, Prepared};
+use crate::solver::{on_device, prepare, recover, BackendKind, Prepared};
 use crate::stats::{SolveStats, Step};
 use crate::trace::{NoopRecorder, Recorder, StepKind};
 
@@ -132,23 +132,6 @@ impl PdhgOptions {
     pub fn max_iters(&self) -> usize {
         self.max_iterations.unwrap_or(200_000)
     }
-}
-
-/// Result of a standard-form PDHG solve (the bench entry point's output).
-#[derive(Debug, Clone)]
-pub struct PdhgStdResult<T: Scalar> {
-    /// Termination status (`Optimal` or `IterationLimit`; PDHG cannot
-    /// certify infeasibility — presolve catches the obvious cases).
-    pub status: Status,
-    /// Standard-form point, full `num_cols` length (artificials zero).
-    pub x_std: Vec<T>,
-    /// Standard-space duals (one per row), in f64.
-    pub y_std: Vec<f64>,
-    /// Standard-form objective `c̃ᵀx̃`.
-    pub z_std: f64,
-    /// Statistics (`pdhg_iterations`/`restarts`/`final_gap` populated;
-    /// `iterations` stays 0 — there are no pivots).
-    pub stats: SolveStats,
 }
 
 /// Should the crossover picker route this shape to PDHG instead of the
@@ -329,9 +312,6 @@ trait FirstOrderOps<T: Scalar> {
     fn rebase_anchor(&mut self) -> Result<(), SolveError>;
     fn iterate(&mut self) -> Result<(Vec<T>, Vec<T>), SolveError>;
     fn elapsed(&self) -> SimTime;
-    fn device_faults(&self) -> u64 {
-        0
-    }
 }
 
 /// How the CPU backend stores the active matrix: dense mirrors the paper's
@@ -486,25 +466,25 @@ struct GpuOps<'g, T: Scalar> {
 }
 
 impl<'g, T: Scalar> GpuOps<'g, T> {
-    fn new(gpu: &'g Gpu, prob: &PdhgProblem<T>, fuse: bool) -> Self {
-        let dcsr = DeviceCsr::upload(gpu, &prob.csr);
-        let dcsc = DeviceCsc::upload(gpu, &prob.csc);
-        GpuOps {
+    /// Upload the problem and allocate the iterate buffers; a device fault
+    /// during set-up is an error, not a panic.
+    fn new(gpu: &'g Gpu, prob: &PdhgProblem<T>, fuse: bool) -> Result<Self, DeviceError> {
+        Ok(GpuOps {
             gpu,
-            dcsr,
-            dcsc,
-            db: gpu.htod(&prob.b),
-            dc: gpu.htod(&prob.c),
-            x: gpu.alloc(prob.n, T::ZERO),
-            y: gpu.alloc(prob.m, T::ZERO),
-            x0: gpu.alloc(prob.n, T::ZERO),
-            y0: gpu.alloc(prob.m, T::ZERO),
-            g: gpu.alloc(prob.n, T::ZERO),
-            xbar: gpu.alloc(prob.n, T::ZERO),
-            ax: gpu.alloc(prob.m, T::ZERO),
+            dcsr: DeviceCsr::upload(gpu, &prob.csr)?,
+            dcsc: DeviceCsc::upload(gpu, &prob.csc)?,
+            db: gpu.try_htod(&prob.b)?,
+            dc: gpu.try_htod(&prob.c)?,
+            x: gpu.try_alloc(prob.n, T::ZERO)?,
+            y: gpu.try_alloc(prob.m, T::ZERO)?,
+            x0: gpu.try_alloc(prob.n, T::ZERO)?,
+            y0: gpu.try_alloc(prob.m, T::ZERO)?,
+            g: gpu.try_alloc(prob.n, T::ZERO)?,
+            xbar: gpu.try_alloc(prob.n, T::ZERO)?,
+            ax: gpu.try_alloc(prob.m, T::ZERO)?,
             fuse,
             t0: gpu.elapsed(),
-        }
+        })
     }
 
     fn chain(
@@ -572,10 +552,6 @@ impl<T: Scalar> FirstOrderOps<T> for GpuOps<'_, T> {
     fn elapsed(&self) -> SimTime {
         self.gpu.elapsed() - self.t0
     }
-
-    fn device_faults(&self) -> u64 {
-        self.gpu.fault_counts().total()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -607,13 +583,12 @@ struct PdhgCore<T: Scalar> {
     y: Vec<T>,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn drive<T: Scalar, O: FirstOrderOps<T>, R: Recorder>(
     prob: &PdhgProblem<T>,
     opts: &PdhgOptions,
     ops: &mut O,
     stats: &mut SolveStats,
-    mut rec: Option<&mut R>,
+    rec: &mut R,
 ) -> Result<PdhgCore<T>, SolveError> {
     let tol = opts.tol_for::<T>();
     let max_iters = opts.max_iters();
@@ -663,16 +638,14 @@ fn drive<T: Scalar, O: FirstOrderOps<T>, R: Recorder>(
         let block_sim1 = ops.elapsed();
         stats.charge(Step::Update, block_sim1 - block_sim0);
         if R::ENABLED {
-            if let Some(r) = rec.as_deref_mut() {
-                r.span(
-                    StepKind::UpdateBasis,
-                    block_sim0,
-                    block_sim1,
-                    block_wall.elapsed().as_secs_f64(),
-                    total,
-                    2,
-                );
-            }
+            rec.span(
+                StepKind::UpdateBasis,
+                block_sim0,
+                block_sim1,
+                block_wall.elapsed().as_secs_f64(),
+                total,
+                2,
+            );
         }
 
         let dl_wall = Instant::now();
@@ -680,16 +653,14 @@ fn drive<T: Scalar, O: FirstOrderOps<T>, R: Recorder>(
         let dl_sim1 = ops.elapsed();
         stats.charge(Step::Other, dl_sim1 - block_sim1);
         if R::ENABLED {
-            if let Some(r) = rec.as_deref_mut() {
-                r.span(
-                    StepKind::Transfer,
-                    block_sim1,
-                    dl_sim1,
-                    dl_wall.elapsed().as_secs_f64(),
-                    total,
-                    2,
-                );
-            }
+            rec.span(
+                StepKind::Transfer,
+                block_sim1,
+                dl_sim1,
+                dl_wall.elapsed().as_secs_f64(),
+                total,
+                2,
+            );
         }
 
         let r = residuals(prob, &x, &y);
@@ -745,9 +716,7 @@ fn drive<T: Scalar, O: FirstOrderOps<T>, R: Recorder>(
             ops.rebase_anchor()?;
             let t = ops.elapsed();
             if R::ENABLED {
-                if let Some(rr) = rec.as_deref_mut() {
-                    rr.span(StepKind::Refactorize, t, t, 0.0, total, 2);
-                }
+                rec.span(StepKind::Refactorize, t, t, 0.0, total, 2);
             }
             fingerprint = fold_iterate(fingerprint, &x, &y);
             anchor_x = x;
@@ -762,7 +731,6 @@ fn drive<T: Scalar, O: FirstOrderOps<T>, R: Recorder>(
     stats.restarts = restarts;
     stats.wall_seconds = wall_start.elapsed().as_secs_f64();
     stats.pivot_fingerprint = fold_iterate(fingerprint, &last_x, &last_y);
-    stats.device_faults = ops.device_faults();
     Ok(PdhgCore {
         status,
         x: last_x,
@@ -774,109 +742,16 @@ fn drive<T: Scalar, O: FirstOrderOps<T>, R: Recorder>(
 // Entry points
 // ---------------------------------------------------------------------------
 
-/// Solve a prepared standard form with PDHG on the chosen backend
-/// (experiment entry point: no presolve/scaling, caller controls
-/// everything).
-pub fn try_solve_standard<T: Scalar>(
-    sf: &StandardForm<T>,
-    opts: &PdhgOptions,
-    kind: &BackendKind,
-) -> Result<PdhgStdResult<T>, SolveError> {
-    try_solve_standard_impl(sf, opts, kind, None::<&mut NoopRecorder>)
-}
-
-/// [`try_solve_standard`] with step spans reported to `rec`.
-pub fn try_solve_standard_recorded<T: Scalar, R: Recorder>(
-    sf: &StandardForm<T>,
-    opts: &PdhgOptions,
-    kind: &BackendKind,
-    rec: &mut R,
-) -> Result<PdhgStdResult<T>, SolveError> {
-    try_solve_standard_impl(sf, opts, kind, Some(rec))
-}
-
-fn try_solve_standard_impl<T: Scalar, R: Recorder>(
-    sf: &StandardForm<T>,
-    opts: &PdhgOptions,
-    kind: &BackendKind,
-    rec: Option<&mut R>,
-) -> Result<PdhgStdResult<T>, SolveError> {
-    let prob = PdhgProblem::build(sf);
-    let mut stats = SolveStats::default();
-    let core = match kind {
-        BackendKind::CpuDense => {
-            let mut ops = CpuOps::new(&prob, true);
-            drive(&prob, opts, &mut ops, &mut stats, rec)?
-        }
-        BackendKind::CpuSparse => {
-            let mut ops = CpuOps::new(&prob, false);
-            drive(&prob, opts, &mut ops, &mut stats, rec)?
-        }
-        BackendKind::GpuDense(spec) => {
-            let gpu = Gpu::new(spec.clone());
-            if let Some(cfg) = &opts.faults {
-                gpu.set_fault_plan(FaultPlan::new(cfg.clone()));
-            }
-            let mut ops = GpuOps::new(&gpu, &prob, opts.fuse_launches);
-            drive(&prob, opts, &mut ops, &mut stats, rec)?
-        }
-        BackendKind::GpuShared(device) => {
-            let stream = Stream::on(device);
-            if let Some(cfg) = &opts.faults {
-                stream.set_fault_plan(FaultPlan::new(cfg.clone()));
-            }
-            let mut ops = GpuOps::new(&stream, &prob, opts.fuse_launches);
-            drive(&prob, opts, &mut ops, &mut stats, rec)?
-        }
-    };
-    // Expand the active point to the full standard-form width (artificial
-    // columns are identically zero in PDHG's formulation).
-    let mut x_std = vec![T::ZERO; sf.num_cols()];
-    x_std[..prob.n].copy_from_slice(&core.x);
-    let z_std: f64 = prob
-        .c64
-        .iter()
-        .zip(&core.x)
-        .map(|(c, x)| c * x.to_f64())
-        .sum();
-    Ok(PdhgStdResult {
-        status: core.status,
-        x_std,
-        y_std: core.y.iter().map(|v| v.to_f64()).collect(),
-        z_std,
-        stats,
-    })
-}
-
-/// Solve an LP with PDHG through the full pipeline on the sparse CPU
-/// backend (a first-order iteration is spmv-bound, so sparse is its
-/// natural home; [`solve_on`] picks any backend).
-///
-/// # Panics
-/// On machinery failure — see [`try_solve_on`] for the fallible form.
-pub fn solve<T: Scalar>(model: &LinearProgram, opts: &PdhgOptions) -> LpSolution {
-    solve_on::<T>(model, opts, &BackendKind::CpuSparse)
-}
-
-/// Solve an LP with PDHG on an explicit backend, panicking on machinery
-/// failure.
-pub fn solve_on<T: Scalar>(
-    model: &LinearProgram,
-    opts: &PdhgOptions,
-    kind: &BackendKind,
-) -> LpSolution {
-    try_solve_on::<T>(model, opts, kind).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Solve an LP with PDHG through the full pipeline (presolve → standardize
 /// → scale → restarted PDHG → recover), surfacing device faults, timeouts
-/// and divergence as [`SolveError`]s.
+/// and divergence as [`SolveError`]s. A first-order iteration is
+/// spmv-bound, so [`BackendKind::CpuSparse`] is its natural CPU home.
 pub fn try_solve_on<T: Scalar>(
     model: &LinearProgram,
     opts: &PdhgOptions,
     kind: &BackendKind,
 ) -> Result<LpSolution, SolveError> {
-    try_solve_on_impl::<T, NoopRecorder>(model, opts, kind, None)
+    try_solve_on_recorded::<T, NoopRecorder>(model, opts, kind, &mut NoopRecorder)
 }
 
 /// [`try_solve_on`] with step spans reported to `rec`.
@@ -886,54 +761,41 @@ pub fn try_solve_on_recorded<T: Scalar, R: Recorder>(
     kind: &BackendKind,
     rec: &mut R,
 ) -> Result<LpSolution, SolveError> {
-    try_solve_on_impl::<T, R>(model, opts, kind, Some(rec))
-}
-
-fn try_solve_on_impl<T: Scalar, R: Recorder>(
-    model: &LinearProgram,
-    opts: &PdhgOptions,
-    kind: &BackendKind,
-    rec: Option<&mut R>,
-) -> Result<LpSolution, SolveError> {
-    let pipeline_opts = crate::options::SolverOptions {
-        presolve: opts.presolve,
-        scale: opts.scale,
-        ..Default::default()
-    };
-    let (sf, restore) = match prepare::<T>(model, &pipeline_opts) {
+    let (sf, restore) = match prepare::<T>(model, opts.presolve, opts.scale) {
         Prepared::Early(sol) => return Ok(*sol),
         Prepared::Ready { sf, restore } => (sf, restore),
     };
-    let res = try_solve_standard_impl(&sf, opts, kind, rec)?;
-    let x_red = sf.recover_x(&res.x_std);
-    let x = match &restore {
-        Some(p) => p.restore(&x_red),
-        None => x_red,
+    let prob = PdhgProblem::build(&sf);
+    let mut stats = SolveStats::default();
+    let core = match kind {
+        BackendKind::CpuDense | BackendKind::CpuSparse => {
+            let mut ops = CpuOps::new(&prob, matches!(kind, BackendKind::CpuDense));
+            drive(&prob, opts, &mut ops, &mut stats, rec)?
+        }
+        BackendKind::GpuDense(_) | BackendKind::GpuShared(_) => {
+            let (core, faults) = on_device(kind, opts.faults.as_ref(), |gpu| {
+                let mut ops = GpuOps::new(gpu, &prob, opts.fuse_launches)?;
+                drive(&prob, opts, &mut ops, &mut stats, rec)
+            })?;
+            stats.device_faults = faults;
+            core
+        }
     };
-    let objective = match res.status {
-        Status::Optimal | Status::IterationLimit => model.objective_value(&x),
-        _ => f64::NAN,
-    };
-    // PDHG's dual iterate lives in exactly the space `recover_duals`
-    // expects (scaled standard rows). As in the simplex pipeline, rows that
-    // presolve removed recover the multiplier their bound earned.
-    let duals = if res.status == Status::Optimal {
-        let y_red = sf.recover_duals(&res.y_std);
-        Some(match &restore {
-            Some(p) => p.restore_duals(model, &x, &y_red),
-            None => y_red,
-        })
-    } else {
-        None
-    };
-    Ok(LpSolution {
-        status: res.status,
-        x,
-        objective,
-        stats: res.stats,
-        duals,
-        reason: None,
-    })
+    // Expand the active point to the full standard-form width (artificial
+    // columns are identically zero in PDHG's formulation). The dual iterate
+    // already lives in the scaled standard rows the shared tail expects.
+    let mut x_std = vec![T::ZERO; sf.num_cols()];
+    x_std[..prob.n].copy_from_slice(&core.x);
+    let y_std = core.y.iter().map(|v| v.to_f64()).collect();
+    Ok(recover(
+        model,
+        &sf,
+        &restore,
+        core.status,
+        &x_std,
+        Some(y_std),
+        stats,
+    ))
 }
 
 #[cfg(test)]
@@ -954,7 +816,7 @@ mod tests {
     fn wyndor_on_every_backend() {
         let (model, expected) = fixtures::wyndor();
         for kind in all_kinds() {
-            let sol = solve_on::<f64>(&model, &PdhgOptions::default(), &kind);
+            let sol = try_solve_on::<f64>(&model, &PdhgOptions::default(), &kind).unwrap();
             assert_eq!(sol.status, Status::Optimal, "{kind:?}");
             assert!(
                 (sol.objective - expected).abs() / expected.abs() < 1e-6,
@@ -973,7 +835,8 @@ mod tests {
         // projects. The artificial columns are excluded from the active
         // matrix, so their presence in the standard form is invisible.
         let (model, expected) = fixtures::two_phase();
-        let sol = solve::<f64>(&model, &PdhgOptions::default());
+        let sol =
+            try_solve_on::<f64>(&model, &PdhgOptions::default(), &BackendKind::CpuSparse).unwrap();
         assert_eq!(sol.status, Status::Optimal);
         assert!(
             (sol.objective - expected).abs() / expected.abs().max(1.0) < 1e-6,
@@ -987,7 +850,8 @@ mod tests {
     #[test]
     fn restarts_and_gap_are_reported() {
         let model = generator::dense_random(12, 16, 9);
-        let sol = solve::<f64>(&model, &PdhgOptions::default());
+        let sol =
+            try_solve_on::<f64>(&model, &PdhgOptions::default(), &BackendKind::CpuSparse).unwrap();
         assert_eq!(sol.status, Status::Optimal);
         assert!(sol.stats.final_gap <= 1e-8);
         assert!(sol.stats.restarts > 0, "restarted scheme should restart");
@@ -1000,7 +864,7 @@ mod tests {
             max_iterations: Some(8),
             ..Default::default()
         };
-        let sol = solve::<f64>(&model, &opts);
+        let sol = try_solve_on::<f64>(&model, &opts, &BackendKind::CpuSparse).unwrap();
         assert_eq!(sol.status, Status::IterationLimit);
         assert_eq!(sol.stats.pdhg_iterations, 8);
         assert!(sol.objective.is_finite());
@@ -1009,7 +873,8 @@ mod tests {
     #[test]
     fn f32_reaches_its_looser_tolerance() {
         let (model, expected) = fixtures::wyndor();
-        let sol = solve::<f32>(&model, &PdhgOptions::default());
+        let sol =
+            try_solve_on::<f32>(&model, &PdhgOptions::default(), &BackendKind::CpuSparse).unwrap();
         assert_eq!(sol.status, Status::Optimal);
         assert!(
             (sol.objective - expected).abs() / expected.abs() < 1e-3,
@@ -1024,13 +889,15 @@ mod tests {
         // Presolve off on both sides: wyndor has singleton rows, and the
         // presolved pipeline's dual recovery is exercised separately.
         let (model, _) = fixtures::wyndor();
-        let pdhg = solve::<f64>(
+        let pdhg = try_solve_on::<f64>(
             &model,
             &PdhgOptions {
                 presolve: false,
                 ..Default::default()
             },
-        );
+            &BackendKind::CpuSparse,
+        )
+        .unwrap();
         let simplex = crate::solver::solve::<f64>(
             &model,
             &crate::options::SolverOptions {
@@ -1049,15 +916,16 @@ mod tests {
     fn fused_and_unfused_gpu_agree_bitwise() {
         let (model, _) = fixtures::wyndor();
         let kind = BackendKind::GpuDense(DeviceSpec::gtx280());
-        let fused = solve_on::<f64>(&model, &PdhgOptions::default(), &kind);
-        let unfused = solve_on::<f64>(
+        let fused = try_solve_on::<f64>(&model, &PdhgOptions::default(), &kind).unwrap();
+        let unfused = try_solve_on::<f64>(
             &model,
             &PdhgOptions {
                 fuse_launches: false,
                 ..Default::default()
             },
             &kind,
-        );
+        )
+        .unwrap();
         // Fusion is an accounting toggle: identical arithmetic.
         assert_eq!(
             fused.stats.pivot_fingerprint,
@@ -1070,7 +938,8 @@ mod tests {
     fn determinism_same_run_same_fingerprint() {
         let model = generator::sparse_random(24, 32, 0.2, 5);
         let run = || {
-            let sol = solve::<f64>(&model, &PdhgOptions::default());
+            let sol = try_solve_on::<f64>(&model, &PdhgOptions::default(), &BackendKind::CpuSparse)
+                .unwrap();
             (sol.stats.pivot_fingerprint, sol.objective.to_bits())
         };
         assert_eq!(run(), run());

@@ -26,7 +26,7 @@ use crate::error::SolveError;
 use crate::options::SolverOptions;
 use crate::pdhg::{self, PdhgOptions};
 use crate::result::LpSolution;
-use crate::solver::{try_solve_on_warm_ckpt, BackendKind, WarmContext};
+use crate::solver::{try_solve_on_warm, BackendKind, RecoveryContext, WarmContext};
 
 /// Which solver family the resilient ladder runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -245,27 +245,18 @@ impl ResilientSolver {
     /// fault schedule per job (the batch layer passes the job index) so jobs
     /// sharing one [`FaultConfig`] template still fault independently.
     ///
-    /// Panics inside an attempt (device faults surfacing through the
-    /// infallible API, poisoned models, backend construction failures) are
-    /// caught and treated like any other attempt failure, so no panic
-    /// escapes to the caller.
+    /// Panics inside an attempt (a poisoned model that fails to
+    /// standardize, or any machinery that unwinds instead of returning an
+    /// error) are caught and treated like any other attempt failure, so no
+    /// panic escapes to the caller.
+    ///
+    /// With a shared [`WarmContext`], *every* rung and attempt re-consults
+    /// the basis cache, so a warm start offered to the placed GPU backend is
+    /// re-supplied — not silently dropped — when the job degrades to the
+    /// dense CPU rung. (The cache lookup happens inside the pipeline after
+    /// presolve/scale, which are deterministic per model, so each attempt
+    /// sees the same key and the same candidate basis.)
     pub fn solve_job<T: Scalar>(
-        &self,
-        salt: u64,
-        model: &LinearProgram,
-        solver_opts: &SolverOptions,
-        placed: &BackendKind,
-    ) -> ResilientOutcome {
-        self.solve_job_warm::<T>(salt, model, solver_opts, placed, None)
-    }
-
-    /// [`Self::solve_job`] with a shared [`WarmContext`]: *every* rung and
-    /// attempt re-consults the basis cache, so a warm start offered to the
-    /// placed GPU backend is re-supplied — not silently dropped — when the
-    /// job degrades to the dense CPU rung. (The cache lookup happens inside
-    /// the pipeline after presolve/scale, which are deterministic per model,
-    /// so each attempt sees the same key and the same candidate basis.)
-    pub fn solve_job_warm<T: Scalar>(
         &self,
         salt: u64,
         model: &LinearProgram,
@@ -335,8 +326,12 @@ impl ResilientSolver {
                             checkpoint_resumes += 1;
                         }
                         slot.begin_attempt(resume.as_ref().map_or(0, |cp| cp.stats.iterations));
+                        let rcv = RecoveryContext {
+                            slot: &slot,
+                            resume,
+                        };
                         catch_unwind(AssertUnwindSafe(|| {
-                            try_solve_on_warm_ckpt::<T>(model, &opts, backend, warm, &slot, resume)
+                            try_solve_on_warm::<T>(model, &opts, backend, warm, Some(rcv))
                         }))
                     }
                     Rung::Pdhg(backend) => {
@@ -399,9 +394,8 @@ impl ResilientSolver {
                         {
                             // The plan died with its stream; count at least
                             // the fault that surfaced (a panic on a
-                            // fault-armed GPU rung is fault-induced too —
-                            // construction-time faults unwind rather than
-                            // return).
+                            // fault-armed GPU rung counts as fault-induced
+                            // too).
                             faults += 1;
                         }
                         final_backend = rung.label();
@@ -455,6 +449,7 @@ mod tests {
             &model,
             &SolverOptions::default(),
             &BackendKind::GpuDense(DeviceSpec::gtx280()),
+            None,
         );
         let sol = out.result.expect("fault-free solve succeeds");
         assert_eq!(sol.status, Status::Optimal);
@@ -480,6 +475,7 @@ mod tests {
             &model,
             &SolverOptions::default(),
             &BackendKind::GpuDense(DeviceSpec::gtx280()),
+            None,
         );
         let sol = out.result.expect("CPU rung always succeeds");
         assert_eq!(out.final_backend, "cpu-dense");
@@ -506,6 +502,7 @@ mod tests {
             &model,
             &SolverOptions::default(),
             &BackendKind::GpuDense(DeviceSpec::gtx280()),
+            None,
         );
         assert!(out.result.is_err());
         assert_eq!(out.final_backend, "gpu-dense");
@@ -528,6 +525,7 @@ mod tests {
                 &model,
                 &SolverOptions::default(),
                 &BackendKind::GpuDense(DeviceSpec::gtx280()),
+                None,
             );
             (
                 out.attempts,
@@ -547,8 +545,13 @@ mod tests {
         // every rung instead of unwinding into the caller.
         let model = fixtures::poisoned();
         let solver = ResilientSolver::default();
-        let out =
-            solver.solve_job::<f64>(0, &model, &SolverOptions::default(), &BackendKind::CpuDense);
+        let out = solver.solve_job::<f64>(
+            0,
+            &model,
+            &SolverOptions::default(),
+            &BackendKind::CpuDense,
+            None,
+        );
         match out.result {
             Err(SolveError::Panicked(_)) => {}
             other => panic!("expected Panicked, got {other:?}"),
@@ -568,6 +571,7 @@ mod tests {
             &model,
             &SolverOptions::default(),
             &BackendKind::GpuDense(DeviceSpec::gtx280()),
+            None,
         );
         let sol = out.result.expect("CPU PDHG rung runs fault-free");
         assert_eq!(out.final_backend, "pdhg-cpu-dense");
@@ -593,14 +597,20 @@ mod tests {
             &small,
             &SolverOptions::default(),
             &BackendKind::CpuSparse,
+            None,
         );
         assert_eq!(out.final_backend, "cpu-sparse");
         assert!(out.result.unwrap().stats.iterations > 0);
 
         // Large and sparse: Auto runs the PDHG ladder.
         let big = lp::generator::sparse_random(300, 360, 0.01, 17);
-        let out =
-            solver.solve_job::<f64>(0, &big, &SolverOptions::default(), &BackendKind::CpuSparse);
+        let out = solver.solve_job::<f64>(
+            0,
+            &big,
+            &SolverOptions::default(),
+            &BackendKind::CpuSparse,
+            None,
+        );
         assert_eq!(out.final_backend, "pdhg-cpu-sparse");
         assert!(out.result.unwrap().stats.pdhg_iterations > 0);
     }

@@ -154,12 +154,6 @@ impl<'a, T: Scalar, B: Backend<T>, R: Recorder> RevisedSimplex<'a, T, B, R> {
         Ok(())
     }
 
-    /// Run to completion, panicking on device failure (the historical
-    /// contract; fault-free configurations never take that path).
-    pub fn solve(self) -> StdResult<T> {
-        self.try_solve().unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Run to completion, surfacing machinery failures as [`SolveError`]s.
     /// Mathematical outcomes (optimal/infeasible/unbounded/limits) are
     /// `Ok` with the corresponding [`Status`].

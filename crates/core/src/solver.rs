@@ -1,19 +1,23 @@
 //! High-level pipeline: presolve → standardize → scale → revised simplex →
 //! recover, over a chosen backend.
 //!
-//! Every entry point has a fallible `try_*` twin returning
-//! `Result<_, SolveError>`; the infallible names keep the historical
-//! panic-on-machinery-failure behavior (and fault-free configurations
-//! never fail). When [`SolverOptions::faults`] is set, the GPU arms arm a
-//! fresh [`FaultPlan`] on the device/stream before the backend is built,
-//! and the observed fault count is folded into the result's stats.
+//! [`solve`] is the one-liner (dense CPU, panics on machinery failure).
+//! Every other entry point returns `Result<_, SolveError>`, and callers
+//! that want the panic `expect` it: [`try_solve_on`] picks the backend,
+//! [`try_solve_on_recorded`] adds step spans, [`try_solve_on_warm`] adds
+//! the family basis cache and checkpoint/resume, and [`try_solve_standard`]
+//! solves a prepared standard form. When [`SolverOptions::faults`] is set,
+//! the GPU arms arm a fresh [`FaultPlan`] on the device/stream before the
+//! backend is built, and the observed fault count is folded into the
+//! result's stats. [`crate::pdhg`] runs the same pipeline front, tail and
+//! device setup around its first-order iteration.
 
 use std::sync::Arc;
 
-use gpu_sim::{DeviceSpec, FaultPlan, Gpu, Stream};
+use gpu_sim::{DeviceSpec, FaultConfig, FaultPlan, Gpu, Stream};
 use linalg::{CsrMatrix, Scalar};
-use lp::presolve::{presolve, PresolveResult};
-use lp::scaling::{scale, ScalingKind};
+use lp::presolve::{PresolveResult, Presolved};
+use lp::scaling::ScalingKind;
 use lp::{LinearProgram, StandardForm};
 
 use crate::backends::{CpuDenseBackend, CpuSparseBackend, GpuDenseBackend};
@@ -85,25 +89,7 @@ pub struct WarmContext<'a> {
 /// those are modeling errors, not solver outcomes — and on device failure
 /// (impossible without fault injection).
 pub fn solve<T: Scalar>(model: &LinearProgram, opts: &SolverOptions) -> LpSolution {
-    solve_on::<T>(model, opts, &BackendKind::CpuDense)
-}
-
-/// Solve an LP through the full pipeline on an explicit backend, panicking
-/// on machinery failure (see [`try_solve_on`] for the fallible form).
-pub fn solve_on<T: Scalar>(
-    model: &LinearProgram,
-    opts: &SolverOptions,
-    kind: &BackendKind,
-) -> LpSolution {
-    try_solve_on::<T>(model, opts, kind).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`solve`].
-pub fn try_solve<T: Scalar>(
-    model: &LinearProgram,
-    opts: &SolverOptions,
-) -> Result<LpSolution, SolveError> {
-    try_solve_on::<T>(model, opts, &BackendKind::CpuDense)
+    try_solve_on::<T>(model, opts, &BackendKind::CpuDense).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Solve an LP through the full pipeline on an explicit backend, surfacing
@@ -113,58 +99,7 @@ pub fn try_solve_on<T: Scalar>(
     opts: &SolverOptions,
     kind: &BackendKind,
 ) -> Result<LpSolution, SolveError> {
-    try_solve_on_impl::<T, NoopRecorder>(model, opts, kind, None, None, None)
-}
-
-/// [`try_solve_on`] consulting (and feeding) a shared [`BasisCache`]: the
-/// standardized instance is keyed under the context's [`WarmStartPolicy`],
-/// a cached family basis (if any) seeds the simplex, and an `Optimal`
-/// terminal basis is written back for later family members. A candidate
-/// that fails the solver-side validation is a recorded cold fallback
-/// ([`crate::SolveStats::warm_start_rejected`]), never a wrong answer.
-pub fn try_solve_on_warm<T: Scalar>(
-    model: &LinearProgram,
-    opts: &SolverOptions,
-    kind: &BackendKind,
-    warm: Option<&WarmContext<'_>>,
-) -> Result<LpSolution, SolveError> {
-    try_solve_on_impl::<T, NoopRecorder>(model, opts, kind, warm, None, None)
-}
-
-/// [`try_solve_on_warm`] with a checkpoint/resume context: the simplex
-/// snapshots into `rcv.slot` per [`SolverOptions::checkpoint_interval`] and
-/// resumes from `rcv.resume` when supplied. The checkpoint basis lives in
-/// the post-presolve/post-scale standard-form space, which is
-/// deterministic per model — so a checkpoint taken by one attempt resumes
-/// correctly in a later attempt, even on a different backend rung. On a
-/// resumed attempt the cache's warm candidate is *not* offered (the
-/// checkpoint supersedes it); the cache is still fed on success.
-pub fn try_solve_on_warm_ckpt<T: Scalar>(
-    model: &LinearProgram,
-    opts: &SolverOptions,
-    kind: &BackendKind,
-    warm: Option<&WarmContext<'_>>,
-    slot: &CheckpointSlot,
-    resume: Option<SolveCheckpoint>,
-) -> Result<LpSolution, SolveError> {
-    try_solve_on_impl::<T, NoopRecorder>(
-        model,
-        opts,
-        kind,
-        warm,
-        None,
-        Some(RecoveryContext { slot, resume }),
-    )
-}
-
-/// Panicking twin of [`try_solve_on_warm`].
-pub fn solve_on_warm<T: Scalar>(
-    model: &LinearProgram,
-    opts: &SolverOptions,
-    kind: &BackendKind,
-    warm: Option<&WarmContext<'_>>,
-) -> LpSolution {
-    try_solve_on_warm::<T>(model, opts, kind, warm).unwrap_or_else(|e| panic!("{e}"))
+    try_solve_on_warm::<T>(model, opts, kind, None, None)
 }
 
 /// [`try_solve_on`] with step spans reported to `rec` (see
@@ -176,12 +111,41 @@ pub fn try_solve_on_recorded<T: Scalar, R: Recorder>(
     kind: &BackendKind,
     rec: &mut R,
 ) -> Result<LpSolution, SolveError> {
-    try_solve_on_impl::<T, R>(model, opts, kind, None, Some(rec), None)
+    solve_model::<T, R>(model, opts, kind, None, None, rec)
+}
+
+/// [`try_solve_on`] consulting (and feeding) a shared [`BasisCache`], and
+/// checkpointing per [`RecoveryContext`].
+///
+/// With `warm`, the standardized instance is keyed under the context's
+/// [`WarmStartPolicy`], a cached family basis (if any) seeds the simplex,
+/// and an `Optimal` terminal basis is written back for later family
+/// members. A candidate that fails the solver-side validation is a
+/// recorded cold fallback ([`crate::SolveStats::warm_start_rejected`]),
+/// never a wrong answer.
+///
+/// With `rcv`, the simplex snapshots into `rcv.slot` per
+/// [`SolverOptions::checkpoint_interval`] and resumes from `rcv.resume`
+/// when supplied. The checkpoint basis lives in the post-presolve/post-scale
+/// standard-form space, which is deterministic per model — so a checkpoint
+/// taken by one attempt resumes correctly in a later attempt, even on a
+/// different backend rung. On a resumed attempt the cache's warm candidate
+/// is *not* offered (the checkpoint supersedes it); the cache is still fed
+/// on success.
+pub fn try_solve_on_warm<T: Scalar>(
+    model: &LinearProgram,
+    opts: &SolverOptions,
+    kind: &BackendKind,
+    warm: Option<&WarmContext<'_>>,
+    rcv: Option<RecoveryContext<'_>>,
+) -> Result<LpSolution, SolveError> {
+    solve_model::<T, NoopRecorder>(model, opts, kind, warm, rcv, &mut NoopRecorder)
 }
 
 /// Outcome of the pre-simplex pipeline stages (presolve → standardize →
-/// scale), factored out so the batch mega path can run them per member
-/// *before* shape-grouping same-shape jobs into one SoA super-job.
+/// scale), shared by both algorithm families and by the batch mega path,
+/// which runs them per member *before* shape-grouping same-shape jobs into
+/// one SoA super-job.
 pub(crate) enum Prepared<T: Scalar> {
     /// Presolve fully decided the model — no simplex needed.
     Early(Box<LpSolution>),
@@ -193,34 +157,31 @@ pub(crate) enum Prepared<T: Scalar> {
     },
 }
 
-/// Presolve, standardize and scale `model` per `opts`.
+/// Presolve (when `presolve`), standardize and scale (when `scale`)
+/// `model`: the pipeline front both algorithm families share.
 ///
 /// # Panics
 /// On models that cannot be standardized (infinite coefficients) — same
 /// contract as the solve entry points.
-pub(crate) fn prepare<T: Scalar>(model: &LinearProgram, opts: &SolverOptions) -> Prepared<T> {
-    let (work, restore) = if opts.presolve {
-        match presolve(model) {
-            PresolveResult::Infeasible(reason) => {
-                return Prepared::Early(Box::new(LpSolution {
-                    status: Status::Infeasible,
-                    x: vec![0.0; model.num_vars()],
-                    objective: f64::NAN,
-                    stats: SolveStats::default(),
-                    duals: None,
-                    reason: Some(reason),
-                }));
-            }
-            PresolveResult::Unbounded(reason) => {
-                return Prepared::Early(Box::new(LpSolution {
-                    status: Status::Unbounded,
-                    x: vec![0.0; model.num_vars()],
-                    objective: f64::NAN,
-                    stats: SolveStats::default(),
-                    duals: None,
-                    reason: Some(reason),
-                }));
-            }
+pub(crate) fn prepare<T: Scalar>(
+    model: &LinearProgram,
+    presolve: bool,
+    scale: bool,
+) -> Prepared<T> {
+    let decided = |status, reason| {
+        Prepared::Early(Box::new(LpSolution {
+            status,
+            x: vec![0.0; model.num_vars()],
+            objective: f64::NAN,
+            stats: SolveStats::default(),
+            duals: None,
+            reason: Some(reason),
+        }))
+    };
+    let (work, restore) = if presolve {
+        match lp::presolve::presolve(model) {
+            PresolveResult::Infeasible(reason) => return decided(Status::Infeasible, reason),
+            PresolveResult::Unbounded(reason) => return decided(Status::Unbounded, reason),
             PresolveResult::Reduced(p) => {
                 let lp = p.lp.clone();
                 (lp, Some(p))
@@ -230,8 +191,8 @@ pub(crate) fn prepare<T: Scalar>(model: &LinearProgram, opts: &SolverOptions) ->
         (model.clone(), None)
     };
     let mut sf = StandardForm::<T>::from_lp(&work).expect("model must standardize");
-    if opts.scale {
-        let _ = scale(&mut sf, ScalingKind::GeometricMean);
+    if scale {
+        let _ = lp::scaling::scale(&mut sf, ScalingKind::GeometricMean);
     }
     Prepared::Ready {
         sf: Box::new(sf),
@@ -269,58 +230,76 @@ pub(crate) fn settle_warm<T: Scalar>(
     }
 }
 
-/// Post-simplex pipeline stages: polish, recover `x` through scaling and
-/// presolve, evaluate the objective on the original model, attach duals.
+/// Simplex pipeline tail: polish an optimal point, take standard-space
+/// duals from the terminal basis, then [`recover`].
 pub(crate) fn finalize<T: Scalar>(
     model: &LinearProgram,
     opts: &SolverOptions,
     sf: &StandardForm<T>,
-    restore: &Option<lp::presolve::Presolved>,
+    restore: &Option<Presolved>,
     mut res: StdResult<T>,
 ) -> LpSolution {
-    if opts.polish && res.status == Status::Optimal {
+    let optimal = res.status == Status::Optimal;
+    if opts.polish && optimal {
         polish_x_std(sf, &res.basis, &mut res.x_std);
     }
-    let x_red = sf.recover_x(&res.x_std);
+    let y_std = if optimal {
+        basis_duals(sf, &res.basis)
+    } else {
+        None
+    };
+    recover(model, sf, restore, res.status, &res.x_std, y_std, res.stats)
+}
+
+/// Pipeline tail shared by both algorithm families: recover `x` through
+/// scaling and presolve, evaluate the objective on the original model,
+/// and — on an `Optimal` result — map the standard-space duals `y_std`
+/// back onto the original rows (rows that presolve removed recover the
+/// multiplier their bound earned).
+pub(crate) fn recover<T: Scalar>(
+    model: &LinearProgram,
+    sf: &StandardForm<T>,
+    restore: &Option<Presolved>,
+    status: Status,
+    x_std: &[T],
+    y_std: Option<Vec<f64>>,
+    stats: SolveStats,
+) -> LpSolution {
+    let x_red = sf.recover_x(x_std);
     let x = match restore {
         Some(p) => p.restore(&x_red),
         None => x_red,
     };
-    let objective = match res.status {
+    let objective = match status {
         Status::Optimal | Status::IterationLimit => model.objective_value(&x),
         _ => f64::NAN,
     };
-    // Duals from the final basis (fresh f64 factorization, so the values
-    // are backend-independent). When presolve reduced the model, the
-    // reduced-row multipliers are unwound back onto the original rows —
-    // removed rows recover the multiplier their bound earned.
-    let duals = if res.status == Status::Optimal {
-        compute_duals(sf, &res.basis).map(|y_red| match restore {
+    let duals = y_std.filter(|_| status == Status::Optimal).map(|y| {
+        let y_red = sf.recover_duals(&y);
+        match restore {
             Some(p) => p.restore_duals(model, &x, &y_red),
             None => y_red,
-        })
-    } else {
-        None
-    };
+        }
+    });
     LpSolution {
-        status: res.status,
+        status,
         x,
         objective,
-        stats: res.stats,
+        stats,
         duals,
         reason: None,
     }
 }
 
-fn try_solve_on_impl<T: Scalar, R: Recorder>(
+fn solve_model<T: Scalar, R: Recorder>(
     model: &LinearProgram,
     opts: &SolverOptions,
     kind: &BackendKind,
     warm: Option<&WarmContext<'_>>,
-    rec: Option<&mut R>,
     rcv: Option<RecoveryContext<'_>>,
+    rec: &mut R,
 ) -> Result<LpSolution, SolveError> {
-    let (sf, restore) = match prepare::<T>(model, opts) {
+    let (sf, restore) = match prepare::<T>(model, opts.presolve, opts.scale) {
         Prepared::Early(sol) => return Ok(*sol),
         Prepared::Ready { sf, restore } => (sf, restore),
     };
@@ -349,7 +328,7 @@ fn try_solve_on_impl<T: Scalar, R: Recorder>(
         cached.map(|c| c.basis)
     };
 
-    let mut res = try_solve_standard_impl::<T, R>(&sf, opts, kind, start, rec, rcv)?;
+    let mut res = try_solve_standard::<T, R>(&sf, opts, kind, start, rcv, rec)?;
     settle_warm(warm, key, baseline, &mut res);
     Ok(finalize(model, opts, &sf, &restore, res))
 }
@@ -388,10 +367,11 @@ fn polish_x_std<T: Scalar>(sf: &StandardForm<T>, basis: &[usize], x_std: &mut [T
     }
 }
 
-/// Standard-space duals `y` with `yᵀB = c_Bᵀ`, mapped back through the
-/// standard-form transforms. `None` when the basis is singular (should not
+/// Standard-space duals `y` with `yᵀB = c_Bᵀ`, from a fresh f64
+/// factorization of the terminal basis (so the values are
+/// backend-independent). `None` when the basis is singular (should not
 /// happen on an optimal result).
-fn compute_duals<T: Scalar>(sf: &StandardForm<T>, basis: &[usize]) -> Option<Vec<f64>> {
+fn basis_duals<T: Scalar>(sf: &StandardForm<T>, basis: &[usize]) -> Option<Vec<f64>> {
     let m = sf.num_rows();
     if m == 0 {
         return Some(Vec::new());
@@ -404,68 +384,12 @@ fn compute_duals<T: Scalar>(sf: &StandardForm<T>, basis: &[usize]) -> Option<Vec
         }
     }
     let cb: Vec<f64> = basis.iter().map(|&j| sf.c[j].to_f64()).collect();
-    let y = linalg::blas::lu_solve(&bt, &cb)?;
-    Some(sf.recover_duals(&y))
+    linalg::blas::lu_solve(&bt, &cb)
 }
 
-/// Solve a prepared standard form on the chosen backend (experiment entry
-/// point: no presolve/scaling, caller controls everything).
-pub fn solve_standard<T: Scalar>(
-    sf: &StandardForm<T>,
-    opts: &SolverOptions,
-    kind: &BackendKind,
-) -> StdResult<T> {
-    try_solve_standard_impl(sf, opts, kind, None, None::<&mut NoopRecorder>, None)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Solve a prepared standard form warm-started from `basis` (e.g. the final
-/// basis of a previous solve of a perturbed model). Falls back to the cold
-/// two-phase start if the basis is singular or primal-infeasible.
-pub fn solve_standard_with_basis<T: Scalar>(
-    sf: &StandardForm<T>,
-    opts: &SolverOptions,
-    kind: &BackendKind,
-    basis: Vec<usize>,
-) -> StdResult<T> {
-    try_solve_standard_impl(sf, opts, kind, Some(basis), None::<&mut NoopRecorder>, None)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`solve_standard`].
-pub fn try_solve_standard<T: Scalar>(
-    sf: &StandardForm<T>,
-    opts: &SolverOptions,
-    kind: &BackendKind,
-) -> Result<StdResult<T>, SolveError> {
-    try_solve_standard_impl(sf, opts, kind, None, None::<&mut NoopRecorder>, None)
-}
-
-/// [`try_solve_standard`] with step spans reported to `rec` (see
-/// [`crate::trace`]): the experiment entry point for per-step profiling.
-pub fn try_solve_standard_recorded<T: Scalar, R: Recorder>(
-    sf: &StandardForm<T>,
-    opts: &SolverOptions,
-    kind: &BackendKind,
-    rec: &mut R,
-) -> Result<StdResult<T>, SolveError> {
-    try_solve_standard_impl(sf, opts, kind, None, Some(rec), None)
-}
-
-/// Fallible twin of [`solve_standard_with_basis`].
-pub fn try_solve_standard_with_basis<T: Scalar>(
-    sf: &StandardForm<T>,
-    opts: &SolverOptions,
-    kind: &BackendKind,
-    basis: Vec<usize>,
-) -> Result<StdResult<T>, SolveError> {
-    try_solve_standard_impl(sf, opts, kind, Some(basis), None::<&mut NoopRecorder>, None)
-}
-
-/// Checkpoint/resume context threaded into a standard-form solve: the
-/// caller-owned slot the driver snapshots into (per
-/// [`SolverOptions::checkpoint_interval`]) plus an optional checkpoint to
-/// resume from instead of starting cold.
+/// Checkpoint/resume context threaded into a solve: the caller-owned slot
+/// the driver snapshots into (per [`SolverOptions::checkpoint_interval`])
+/// plus an optional checkpoint to resume from instead of starting cold.
 pub struct RecoveryContext<'s> {
     /// Mailbox for snapshots and per-iteration progress.
     pub slot: &'s CheckpointSlot,
@@ -473,125 +397,113 @@ pub struct RecoveryContext<'s> {
     pub resume: Option<SolveCheckpoint>,
 }
 
-/// [`try_solve_standard`] with checkpointing: snapshots land in `slot`
-/// every `opts.checkpoint_interval` iterations (at reinversion boundaries),
-/// and a supplied `resume` checkpoint restarts the solve mid-flight — on
-/// *any* backend kind, not just the one that took the snapshot. `start` is
-/// the optional warm-start basis for a scratch attempt; callers must pass
-/// `start = None` when resuming (the checkpoint supersedes it).
-pub fn try_solve_standard_ckpt<T: Scalar>(
+/// Solve a prepared standard form on the chosen backend — the experiment
+/// entry point: no presolve, scaling or recovery; the caller controls
+/// everything.
+///
+/// * `start` warm-starts phase 2 from a basis (e.g. the final basis of a
+///   previous solve of a perturbed model), falling back to the cold
+///   two-phase start if it is singular or primal-infeasible.
+/// * `rcv` snapshots into `rcv.slot` every `opts.checkpoint_interval`
+///   iterations (at reinversion boundaries), and a supplied `rcv.resume`
+///   checkpoint restarts the solve mid-flight — on *any* backend kind, not
+///   just the one that took the snapshot. Pass `start = None` when
+///   resuming (the checkpoint supersedes it).
+/// * `rec` receives step spans (see [`crate::trace`]); untraced callers
+///   pass `&mut NoopRecorder`, which compiles the spans out.
+pub fn try_solve_standard<T: Scalar, R: Recorder>(
     sf: &StandardForm<T>,
     opts: &SolverOptions,
     kind: &BackendKind,
     start: Option<Vec<usize>>,
-    slot: &CheckpointSlot,
-    resume: Option<SolveCheckpoint>,
+    rcv: Option<RecoveryContext<'_>>,
+    rec: &mut R,
 ) -> Result<StdResult<T>, SolveError> {
     debug_assert!(
-        start.is_none() || resume.is_none(),
+        start.is_none() || rcv.as_ref().is_none_or(|r| r.resume.is_none()),
         "a resumed solve must not also offer a warm-start basis"
     );
-    try_solve_standard_impl(
-        sf,
-        opts,
-        kind,
-        start,
-        None::<&mut NoopRecorder>,
-        Some(RecoveryContext { slot, resume }),
-    )
-}
-
-/// Wire a warm basis and a recovery context into a constructed driver
-/// (no-op without either).
-fn arm<'a, T: Scalar, B: crate::backend::Backend<T>, R: Recorder>(
-    driver: &mut RevisedSimplex<'a, T, B, R>,
-    warm: Option<Vec<usize>>,
-    rcv: Option<RecoveryContext<'a>>,
-) {
-    if let Some(basis) = warm {
-        driver.set_start_basis(basis);
-    }
-    if let Some(rcv) = rcv {
-        driver.attach_checkpoint_slot(rcv.slot);
-        if let Some(cp) = rcv.resume {
-            driver.resume_from(cp);
-        }
-    }
-}
-
-fn drive<'a, T: Scalar, B: crate::backend::Backend<T>, R: Recorder>(
-    be: &'a mut B,
-    sf: &'a StandardForm<T>,
-    opts: &'a SolverOptions,
-    warm: Option<Vec<usize>>,
-    rec: Option<&'a mut R>,
-    rcv: Option<RecoveryContext<'a>>,
-) -> Result<StdResult<T>, SolveError> {
-    match rec {
-        Some(rec) => {
-            let mut d = RevisedSimplex::with_recorder(be, sf, opts, rec);
-            arm(&mut d, warm, rcv);
-            d.try_solve()
-        }
-        None => {
-            let mut d = RevisedSimplex::new(be, sf, opts);
-            arm(&mut d, warm, rcv);
-            d.try_solve()
-        }
-    }
-}
-
-fn try_solve_standard_impl<T: Scalar, R: Recorder>(
-    sf: &StandardForm<T>,
-    opts: &SolverOptions,
-    kind: &BackendKind,
-    warm: Option<Vec<usize>>,
-    rec: Option<&mut R>,
-    rcv: Option<RecoveryContext<'_>>,
-) -> Result<StdResult<T>, SolveError> {
     let n_active = sf.num_cols() - sf.num_artificials;
     match kind {
         BackendKind::CpuDense => {
             let mut be = CpuDenseBackend::new(&sf.a, &sf.b, n_active, &sf.basis0);
-            drive(&mut be, sf, opts, warm, rec, rcv)
+            drive(&mut be, sf, opts, start, rcv, rec)
         }
         BackendKind::CpuSparse => {
             let csr = CsrMatrix::from_dense(&sf.a, T::ZERO);
             let mut be = CpuSparseBackend::new(&csr, &sf.b, n_active, &sf.basis0);
-            drive(&mut be, sf, opts, warm, rec, rcv)
+            drive(&mut be, sf, opts, start, rcv, rec)
         }
-        BackendKind::GpuDense(spec) => {
-            let gpu = Gpu::new(spec.clone());
-            if let Some(cfg) = &opts.faults {
-                gpu.set_fault_plan(FaultPlan::new(cfg.clone()));
-            }
-            // Fallible construction: a device fault during the initial
-            // uploads is a reportable device error, not a panic.
-            let mut be = GpuDenseBackend::try_new(&gpu, &sf.a, &sf.b, n_active, &sf.basis0)
-                .map_err(SolveError::from)?;
-            be.set_fuse_launches(opts.fuse_launches);
-            let mut res = drive(&mut be, sf, opts, warm, rec, rcv)?;
-            res.stats.device_faults = gpu.fault_counts().total();
-            Ok(res)
-        }
-        BackendKind::GpuShared(device) => {
-            // One stream per solve: `Stream` derefs to `Gpu`, so the
-            // backend runs unchanged while its counters stay per-solve
-            // correct and fold into the shared device on retirement. The
-            // fault plan is armed on the *stream*, so injected faults stay
-            // per-solve too — other jobs on the device are untouched.
-            let stream = Stream::on(device);
-            if let Some(cfg) = &opts.faults {
-                stream.set_fault_plan(FaultPlan::new(cfg.clone()));
-            }
-            let mut be = GpuDenseBackend::try_new(&stream, &sf.a, &sf.b, n_active, &sf.basis0)
-                .map_err(SolveError::from)?;
-            be.set_fuse_launches(opts.fuse_launches);
-            let mut res = drive(&mut be, sf, opts, warm, rec, rcv)?;
-            res.stats.device_faults = stream.fault_counts().total();
+        BackendKind::GpuDense(_) | BackendKind::GpuShared(_) => {
+            let (mut res, faults) = on_device(kind, opts.faults.as_ref(), |gpu| {
+                // Fallible construction: a device fault during the initial
+                // uploads is a reportable device error, not a panic.
+                let mut be = GpuDenseBackend::try_new(gpu, &sf.a, &sf.b, n_active, &sf.basis0)?;
+                be.set_fuse_launches(opts.fuse_launches);
+                drive(&mut be, sf, opts, start, rcv, rec)
+            })?;
+            res.stats.device_faults = faults;
             Ok(res)
         }
     }
+}
+
+/// Run a constructed backend to completion, wiring in the warm basis and
+/// the recovery context when given.
+fn drive<'a, T: Scalar, B: crate::backend::Backend<T>, R: Recorder>(
+    be: &'a mut B,
+    sf: &'a StandardForm<T>,
+    opts: &'a SolverOptions,
+    start: Option<Vec<usize>>,
+    rcv: Option<RecoveryContext<'a>>,
+    rec: &'a mut R,
+) -> Result<StdResult<T>, SolveError> {
+    let mut d = RevisedSimplex::with_recorder(be, sf, opts, rec);
+    if let Some(basis) = start {
+        d.set_start_basis(basis);
+    }
+    if let Some(rcv) = rcv {
+        d.attach_checkpoint_slot(rcv.slot);
+        if let Some(cp) = rcv.resume {
+            d.resume_from(cp);
+        }
+    }
+    d.try_solve()
+}
+
+/// The device setup both algorithm families share for a GPU `kind`: a
+/// fresh [`Gpu`] for [`BackendKind::GpuDense`], or one [`Stream`] of the
+/// shared device for [`BackendKind::GpuShared`] (`Stream` derefs to `Gpu`,
+/// so the backend runs unchanged while its counters stay per-solve correct
+/// and fold into the shared device on retirement). `faults` is armed as a
+/// fresh [`FaultPlan`] before `body` builds anything — on the stream, so
+/// injected faults stay per-solve and other jobs on the device are
+/// untouched. Returns `body`'s output with the observed fault count.
+///
+/// # Panics
+/// On a CPU `kind`.
+pub(crate) fn on_device<O>(
+    kind: &BackendKind,
+    faults: Option<&FaultConfig>,
+    body: impl FnOnce(&Gpu) -> Result<O, SolveError>,
+) -> Result<(O, u64), SolveError> {
+    let (fresh, stream);
+    let gpu: &Gpu = match kind {
+        BackendKind::GpuDense(spec) => {
+            fresh = Gpu::new(spec.clone());
+            &fresh
+        }
+        BackendKind::GpuShared(device) => {
+            stream = Stream::on(device);
+            &stream
+        }
+        BackendKind::CpuDense | BackendKind::CpuSparse => unreachable!("{kind:?} is not a GPU"),
+    };
+    if let Some(cfg) = faults {
+        gpu.set_fault_plan(FaultPlan::new(cfg.clone()));
+    }
+    let out = body(gpu)?;
+    Ok((out, gpu.fault_counts().total()))
 }
 
 #[cfg(test)]
@@ -612,7 +524,7 @@ mod tests {
     fn wyndor_on_every_backend() {
         let (model, expected) = fixtures::wyndor();
         for kind in all_kinds() {
-            let sol = solve_on::<f64>(&model, &SolverOptions::default(), &kind);
+            let sol = try_solve_on::<f64>(&model, &SolverOptions::default(), &kind).unwrap();
             assert_eq!(sol.status, Status::Optimal, "{kind:?}");
             assert!(
                 (sol.objective - expected).abs() < 1e-8,
@@ -628,7 +540,7 @@ mod tests {
     fn two_phase_on_every_backend() {
         let (model, expected) = fixtures::two_phase();
         for kind in all_kinds() {
-            let sol = solve_on::<f64>(&model, &SolverOptions::default(), &kind);
+            let sol = try_solve_on::<f64>(&model, &SolverOptions::default(), &kind).unwrap();
             assert_eq!(sol.status, Status::Optimal, "{kind:?}");
             assert!(
                 (sol.objective - expected).abs() < 1e-8,
@@ -700,12 +612,14 @@ mod tests {
     fn transportation_on_cpu_and_gpu() {
         // Equality rows + redundancy: the hard two-phase path.
         let model = generator::transportation(&[30.0, 70.0], &[40.0, 60.0], 3);
-        let cpu = solve_on::<f64>(&model, &SolverOptions::default(), &BackendKind::CpuDense);
-        let gpu = solve_on::<f64>(
+        let cpu =
+            try_solve_on::<f64>(&model, &SolverOptions::default(), &BackendKind::CpuDense).unwrap();
+        let gpu = try_solve_on::<f64>(
             &model,
             &SolverOptions::default(),
             &BackendKind::GpuDense(DeviceSpec::gtx280()),
-        );
+        )
+        .unwrap();
         assert_eq!(cpu.status, Status::Optimal);
         assert_eq!(gpu.status, Status::Optimal);
         assert!((cpu.objective - gpu.objective).abs() < 1e-6);
@@ -726,7 +640,7 @@ mod tests {
         );
         assert_eq!(tstatus, Status::Optimal);
         for kind in all_kinds() {
-            let sol = solve_on::<f64>(&model, &opts, &kind);
+            let sol = try_solve_on::<f64>(&model, &opts, &kind).unwrap();
             assert_eq!(sol.status, Status::Optimal, "{kind:?}");
             assert!(
                 (sol.objective - tobj).abs() / tobj.abs().max(1.0) < 1e-7,

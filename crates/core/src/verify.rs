@@ -276,7 +276,8 @@ pub fn check_complementary_slackness(
 mod tests {
     use super::*;
     use crate::options::SolverOptions;
-    use crate::solver::{solve, solve_standard, BackendKind};
+    use crate::solver::{solve, try_solve_standard, BackendKind};
+    use crate::trace::NoopRecorder;
     use lp::generator::{self, fixtures};
     use lp::scaling::{scale, ScalingKind};
 
@@ -290,7 +291,15 @@ mod tests {
         };
         let mut sf = StandardForm::<f64>::from_lp(&model).unwrap();
         let _ = scale(&mut sf, ScalingKind::None);
-        let res = solve_standard::<f64>(&sf, &opts, &BackendKind::CpuDense);
+        let res = try_solve_standard::<f64, _>(
+            &sf,
+            &opts,
+            &BackendKind::CpuDense,
+            None,
+            None,
+            &mut NoopRecorder,
+        )
+        .unwrap();
         certify_optimal(&sf, &res, 1e-8).unwrap();
     }
 
@@ -309,7 +318,9 @@ mod tests {
                 BackendKind::CpuSparse,
                 BackendKind::GpuDense(gpu_sim::DeviceSpec::gtx280()),
             ] {
-                let res = solve_standard::<f64>(&sf, &opts, &kind);
+                let res =
+                    try_solve_standard::<f64, _>(&sf, &opts, &kind, None, None, &mut NoopRecorder)
+                        .unwrap();
                 certify_optimal(&sf, &res, 1e-7)
                     .unwrap_or_else(|e| panic!("seed {seed} {kind:?}: {e}"));
             }
@@ -448,7 +459,15 @@ mod tests {
             ..Default::default()
         };
         let sf = StandardForm::<f64>::from_lp(&model).unwrap();
-        let mut res = solve_standard::<f64>(&sf, &opts, &BackendKind::CpuDense);
+        let mut res = try_solve_standard::<f64, _>(
+            &sf,
+            &opts,
+            &BackendKind::CpuDense,
+            None,
+            None,
+            &mut NoopRecorder,
+        )
+        .unwrap();
         res.status = Status::IterationLimit;
         assert_eq!(
             certify_optimal(&sf, &res, 1e-8),

@@ -5,7 +5,8 @@
 //! asked of it — plus the sparse instance generators in the `lp` crate.
 
 use gpu_sim::{
-    AccessPattern, DView, DViewMut, Gpu, Kernel, KernelCost, LaunchConfig, Launcher, ThreadCtx,
+    AccessPattern, DView, DViewMut, DeviceError, Gpu, Kernel, KernelCost, LaunchConfig, Launcher,
+    ThreadCtx,
 };
 
 use crate::dense::DenseMatrix;
@@ -384,15 +385,16 @@ pub struct DeviceCsr<T: Scalar> {
 }
 
 impl<T: Scalar> DeviceCsr<T> {
-    /// Upload a host CSR matrix.
-    pub fn upload(gpu: &Gpu, m: &CsrMatrix<T>) -> Self {
-        DeviceCsr {
-            row_ptr: gpu.htod(&m.row_ptr),
-            col_idx: gpu.htod(&m.col_idx),
-            values: gpu.htod(&m.values),
+    /// Upload a host CSR matrix; a device fault (OOM, transfer
+    /// failure) is returned, not panicked.
+    pub fn upload(gpu: &Gpu, m: &CsrMatrix<T>) -> Result<Self, DeviceError> {
+        Ok(DeviceCsr {
+            row_ptr: gpu.try_htod(&m.row_ptr)?,
+            col_idx: gpu.try_htod(&m.col_idx)?,
+            values: gpu.try_htod(&m.values)?,
             rows: m.rows(),
             cols: m.cols(),
-        }
+        })
     }
 
     /// Row count.
@@ -504,15 +506,16 @@ pub struct DeviceCsc<T: Scalar> {
 }
 
 impl<T: Scalar> DeviceCsc<T> {
-    /// Upload a host CSC matrix.
-    pub fn upload(gpu: &Gpu, m: &CscMatrix<T>) -> Self {
-        DeviceCsc {
-            col_ptr: gpu.htod(&m.col_ptr),
-            row_idx: gpu.htod(&m.row_idx),
-            values: gpu.htod(&m.values),
+    /// Upload a host CSC matrix; a device fault (OOM, transfer
+    /// failure) is returned, not panicked.
+    pub fn upload(gpu: &Gpu, m: &CscMatrix<T>) -> Result<Self, DeviceError> {
+        Ok(DeviceCsc {
+            col_ptr: gpu.try_htod(&m.col_ptr)?,
+            row_idx: gpu.try_htod(&m.row_idx)?,
+            values: gpu.try_htod(&m.values)?,
             rows: m.rows(),
             cols: m.cols(),
-        }
+        })
     }
 
     /// Row count.
@@ -777,7 +780,7 @@ mod tests {
         let gpu = Gpu::new(DeviceSpec::gtx280());
         let csr = example().to_csr();
         let csc = csr.to_csc();
-        let d = DeviceCsc::upload(&gpu, &csc);
+        let d = DeviceCsc::upload(&gpu, &csc).unwrap();
         let x = vec![1.0, -2.0, 0.5];
         let dx = gpu.htod(&x);
         // Pre-poison the device output: the gather must overwrite it.
@@ -792,7 +795,7 @@ mod tests {
     fn device_spmv_matches_cpu() {
         let gpu = Gpu::new(DeviceSpec::gtx280());
         let csr = example().to_csr();
-        let d = DeviceCsr::upload(&gpu, &csr);
+        let d = DeviceCsr::upload(&gpu, &csr).unwrap();
         let x = vec![1.0, 2.0, 3.0];
         let dx = gpu.htod(&x);
         let mut dy = gpu.alloc(3, 0.0f64);

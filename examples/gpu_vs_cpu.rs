@@ -23,7 +23,15 @@ fn main() {
     let opts = paper_opts(m);
 
     // CPU baseline.
-    let cpu = gplex::solve_standard::<f32>(&sf, &opts, &gplex::BackendKind::CpuDense);
+    let cpu = gplex::try_solve_standard::<f32, _>(
+        &sf,
+        &opts,
+        &gplex::BackendKind::CpuDense,
+        None,
+        None,
+        &mut gplex::NoopRecorder,
+    )
+    .expect("solve");
     assert_eq!(cpu.status, Status::Optimal);
     println!("CPU (modeled Core2-era single core)");
     println!("{}", cpu.stats);
@@ -32,7 +40,9 @@ fn main() {
     let gpu = Gpu::new(DeviceSpec::gtx280());
     let n_active = sf.num_cols() - sf.num_artificials;
     let mut backend = GpuDenseBackend::new(&gpu, &sf.a, &sf.b, n_active, &sf.basis0);
-    let gres = RevisedSimplex::new(&mut backend, &sf, &opts).solve();
+    let gres = RevisedSimplex::new(&mut backend, &sf, &opts)
+        .try_solve()
+        .expect("solve");
     assert_eq!(gres.status, Status::Optimal);
     println!("GPU (simulated GeForce GTX 280)");
     println!("{}", gres.stats);

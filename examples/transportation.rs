@@ -7,7 +7,7 @@
 //! cargo run --release --example transportation
 //! ```
 
-use gplex::{solve_on, BackendKind, SolverOptions, Status};
+use gplex::{try_solve_on, BackendKind, SolverOptions, Status};
 use gpu_sim::DeviceSpec;
 use lp::generator;
 
@@ -23,8 +23,9 @@ fn main() {
     );
 
     let opts = SolverOptions::default();
-    let cpu = solve_on::<f64>(&model, &opts, &BackendKind::CpuDense);
-    let gpu = solve_on::<f64>(&model, &opts, &BackendKind::GpuDense(DeviceSpec::gtx280()));
+    let cpu = try_solve_on::<f64>(&model, &opts, &BackendKind::CpuDense).expect("solve");
+    let gpu = try_solve_on::<f64>(&model, &opts, &BackendKind::GpuDense(DeviceSpec::gtx280()))
+        .expect("solve");
 
     assert_eq!(cpu.status, Status::Optimal);
     assert_eq!(gpu.status, Status::Optimal);

@@ -4,8 +4,8 @@
 
 use gplex::backends::CpuDenseBackend;
 use gplex::{
-    solve_on, try_solve_standard, verify, Backend, BackendKind, BasisRepresentation,
-    DegeneracyPolicy, RatioOutcome, SolverOptions, Status,
+    try_solve_on, try_solve_standard, verify, Backend, BackendKind, BasisRepresentation,
+    DegeneracyPolicy, NoopRecorder, RatioOutcome, SolverOptions, Status,
 };
 use gpu_sim::DeviceSpec;
 use lp::generator;
@@ -98,10 +98,9 @@ proptest! {
     #[test]
     fn representation_swap_preserves_objective((m, n, seed) in small_dims()) {
         let model = generator::dense_random(m, n, seed);
-        let ex = solve_on::<f64>(&model, &opts_with(BasisRepresentation::ExplicitInverse),
-            &BackendKind::CpuDense);
+        let ex = try_solve_on::<f64>(&model, &opts_with(BasisRepresentation::ExplicitInverse), &BackendKind::CpuDense).unwrap();
         for rep in [BasisRepresentation::ProductForm, BasisRepresentation::SparseLU] {
-            let alt = solve_on::<f64>(&model, &opts_with(rep), &BackendKind::CpuDense);
+            let alt = try_solve_on::<f64>(&model, &opts_with(rep), &BackendKind::CpuDense).unwrap();
             prop_assert_eq!(ex.status, alt.status, "{:?}", rep);
             if ex.status == Status::Optimal {
                 prop_assert!((ex.objective - alt.objective).abs()
@@ -192,7 +191,7 @@ proptest! {
     fn resume_is_bitwise_at_non_divisible_checkpoint_interval(
         (m, n, seed) in small_dims()
     ) {
-        use gplex::{try_solve_standard_ckpt, CheckpointSlot};
+        use gplex::{try_solve_standard, NoopRecorder, RecoveryContext, CheckpointSlot};
         let model = generator::dense_random(m, n, seed);
         let sf = StandardForm::<f64>::from_lp(&model).expect("standardizes");
         for rep in [
@@ -209,7 +208,7 @@ proptest! {
             };
             let kind = BackendKind::CpuDense;
             let slot = CheckpointSlot::new();
-            let solo = try_solve_standard_ckpt::<f64>(&sf, &opts, &kind, None, &slot, None)
+            let solo = try_solve_standard::<f64, _>(&sf, &opts, &kind, None, Some(RecoveryContext { slot: &slot, resume: None }), &mut NoopRecorder)
                 .expect("uninterrupted solve succeeds");
             let Some(cp) = slot.checkpoint() else { continue };
             prop_assert_eq!(cp.representation, rep);
@@ -220,7 +219,7 @@ proptest! {
 
             let slot2 = CheckpointSlot::new();
             let resumed =
-                try_solve_standard_ckpt::<f64>(&sf, &opts, &kind, None, &slot2, Some(cp))
+                try_solve_standard::<f64, _>(&sf, &opts, &kind, None, Some(RecoveryContext { slot: &slot2, resume: Some(cp) }), &mut NoopRecorder)
                     .expect("resumed solve succeeds");
             prop_assert_eq!(resumed.status, solo.status);
             prop_assert_eq!(resumed.stats.iterations, solo.stats.iterations);
@@ -255,15 +254,25 @@ fn explicit_path_fingerprint_is_unchanged_by_plumbing() {
             BackendKind::CpuSparse,
             BackendKind::GpuDense(DeviceSpec::gtx280()),
         ] {
-            let default =
-                try_solve_standard::<f64>(&sf, &SolverOptions::default(), &kind).expect("solves");
-            let explicit = try_solve_standard::<f64>(
+            let default = try_solve_standard::<f64, _>(
+                &sf,
+                &SolverOptions::default(),
+                &kind,
+                None,
+                None,
+                &mut NoopRecorder,
+            )
+            .expect("solves");
+            let explicit = try_solve_standard::<f64, _>(
                 &sf,
                 &SolverOptions {
                     basis_representation: BasisRepresentation::ExplicitInverse,
                     ..Default::default()
                 },
                 &kind,
+                None,
+                None,
+                &mut NoopRecorder,
             )
             .expect("solves");
             assert_eq!(default.status, explicit.status, "{name} on {kind:?}");
@@ -303,7 +312,7 @@ fn product_form_solves_fixture_suite_on_all_backends() {
                 refactor_period: 8,
                 ..opts_with(BasisRepresentation::ProductForm)
             };
-            let sol = solve_on::<f64>(model, &opts, &kind);
+            let sol = try_solve_on::<f64>(model, &opts, &kind).unwrap();
             assert_eq!(sol.status, Status::Optimal, "{name} on {kind:?}");
             assert!(
                 (sol.objective - expected).abs() < 1e-6,
@@ -353,7 +362,7 @@ fn sparse_lu_solves_fixture_suite_on_all_backends() {
                 refactor_period: 8,
                 ..opts_with(BasisRepresentation::SparseLU)
             };
-            let sol = solve_on::<f64>(model, &opts, &kind);
+            let sol = try_solve_on::<f64>(model, &opts, &kind).unwrap();
             assert_eq!(sol.status, Status::Optimal, "{name} on {kind:?}");
             assert!(
                 (sol.objective - expected).abs() < 1e-6,
@@ -394,7 +403,7 @@ fn bound_shift_policy_terminates_on_degenerate_and_adversarial_fixtures() {
     ];
     let mut total_shifts = 0;
     for (model, expected) in &cases {
-        let shifted = solve_on::<f64>(
+        let shifted = try_solve_on::<f64>(
             model,
             &SolverOptions {
                 stall_threshold: 2,
@@ -404,7 +413,8 @@ fn bound_shift_policy_terminates_on_degenerate_and_adversarial_fixtures() {
                 ..Default::default()
             },
             &BackendKind::CpuDense,
-        );
+        )
+        .unwrap();
         assert_eq!(shifted.status, Status::Optimal);
         assert!(
             (shifted.objective - expected).abs() < 1e-6,
@@ -431,7 +441,7 @@ fn perturbation_policy_terminates_on_degenerate_and_adversarial_fixtures() {
         (generator::klee_minty(6), generator::klee_minty_optimum(6)),
     ];
     for (model, expected) in &cases {
-        let bland = solve_on::<f64>(
+        let bland = try_solve_on::<f64>(
             model,
             &SolverOptions {
                 stall_threshold: 2,
@@ -440,8 +450,9 @@ fn perturbation_policy_terminates_on_degenerate_and_adversarial_fixtures() {
                 ..Default::default()
             },
             &BackendKind::CpuDense,
-        );
-        let pert = solve_on::<f64>(
+        )
+        .unwrap();
+        let pert = try_solve_on::<f64>(
             model,
             &SolverOptions {
                 stall_threshold: 2,
@@ -451,7 +462,8 @@ fn perturbation_policy_terminates_on_degenerate_and_adversarial_fixtures() {
                 ..Default::default()
             },
             &BackendKind::CpuDense,
-        );
+        )
+        .unwrap();
         assert_eq!(bland.status, Status::Optimal);
         assert_eq!(pert.status, Status::Optimal);
         assert!(

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use gplex::batch::{BatchOptions, BatchSolver, JobOutcome, PlacementPolicy};
-use gplex::{solve_on, BackendKind, SolverOptions, Status};
+use gplex::{try_solve_on, BackendKind, SolverOptions, Status};
 use gpu_sim::{DeviceSpec, Gpu};
 use lp::generator::{self, fixtures};
 use lp::LinearProgram;
@@ -20,7 +20,7 @@ fn backends() -> Vec<BackendKind> {
 fn sequential(jobs: &[LinearProgram], kind: &BackendKind) -> Vec<(Status, f64)> {
     jobs.iter()
         .map(|lp| {
-            let sol = solve_on::<f64>(lp, &SolverOptions::default(), kind);
+            let sol = try_solve_on::<f64>(lp, &SolverOptions::default(), kind).unwrap();
             (sol.status, sol.objective)
         })
         .collect()
@@ -28,7 +28,7 @@ fn sequential(jobs: &[LinearProgram], kind: &BackendKind) -> Vec<(Status, f64)> 
 
 /// The headline equivalence contract: 64 LPs through the pool at 1, 4, and
 /// 8 workers produce identical statuses and objectives within 1e-9 of the
-/// one-at-a-time `solve_on` baseline, on every backend.
+/// one-at-a-time `try_solve_on` baseline, on every backend.
 #[test]
 fn batch_matches_sequential_on_all_backends_and_worker_counts() {
     let jobs = generator::batch_dense(64, 8, 10, 2000);

@@ -1,6 +1,6 @@
 //! Edge cases and failure-injection tests across the stack.
 
-use gplex::{solve, solve_on, BackendKind, SolverOptions, Status};
+use gplex::{solve, try_solve_on, BackendKind, SolverOptions, Status};
 use gpu_sim::DeviceSpec;
 use lp::{LinearProgram, Rel, Sense};
 
@@ -22,7 +22,7 @@ fn no_constraints_nonneg_costs_is_trivially_optimal() {
         BackendKind::CpuDense,
         BackendKind::GpuDense(DeviceSpec::gtx280()),
     ] {
-        let sol = solve_on::<f64>(&model, &raw_opts(), &kind);
+        let sol = try_solve_on::<f64>(&model, &raw_opts(), &kind).unwrap();
         assert_eq!(sol.status, Status::Optimal, "{kind:?}");
         assert_eq!(sol.objective, 0.0);
         assert_eq!(sol.x, vec![0.0, 0.0]);
@@ -37,7 +37,7 @@ fn no_constraints_negative_cost_is_unbounded() {
         BackendKind::CpuDense,
         BackendKind::GpuDense(DeviceSpec::gtx280()),
     ] {
-        let sol = solve_on::<f64>(&model, &raw_opts(), &kind);
+        let sol = try_solve_on::<f64>(&model, &raw_opts(), &kind).unwrap();
         assert_eq!(sol.status, Status::Unbounded, "{kind:?}");
     }
     // Presolve also catches it, with a reason.
@@ -68,7 +68,7 @@ fn equality_only_system_with_unique_point() {
         BackendKind::CpuDense,
         BackendKind::GpuDense(DeviceSpec::gtx280()),
     ] {
-        let sol = solve_on::<f64>(&model, &raw_opts(), &kind);
+        let sol = try_solve_on::<f64>(&model, &raw_opts(), &kind).unwrap();
         assert_eq!(sol.status, Status::Optimal, "{kind:?}");
         assert!((sol.x[0] - 2.0).abs() < 1e-8);
         assert!((sol.x[1] - 1.0).abs() < 1e-8);
@@ -88,7 +88,7 @@ fn redundant_equalities_leave_artificial_in_basis_harmlessly() {
         BackendKind::CpuDense,
         BackendKind::GpuDense(DeviceSpec::gtx280()),
     ] {
-        let sol = solve_on::<f64>(&model, &raw_opts(), &kind);
+        let sol = try_solve_on::<f64>(&model, &raw_opts(), &kind).unwrap();
         assert_eq!(sol.status, Status::Optimal, "{kind:?}");
         // min x + 2y on x + y = 4 → all weight on x.
         assert!(
@@ -237,12 +237,13 @@ fn badly_scaled_duals_recover_through_presolve_and_scaling() {
 fn gpu_and_cpu_agree_on_a_wide_problem() {
     // n ≫ m — the revised method's favorite shape.
     let model = lp::generator::dense_random(8, 200, 77);
-    let c = solve_on::<f64>(&model, &raw_opts(), &BackendKind::CpuDense);
-    let g = solve_on::<f64>(
+    let c = try_solve_on::<f64>(&model, &raw_opts(), &BackendKind::CpuDense).unwrap();
+    let g = try_solve_on::<f64>(
         &model,
         &raw_opts(),
         &BackendKind::GpuDense(DeviceSpec::gtx280()),
-    );
+    )
+    .unwrap();
     assert_eq!(c.status, Status::Optimal);
     assert_eq!(g.status, Status::Optimal);
     assert!((c.objective - g.objective).abs() < 1e-8);

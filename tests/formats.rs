@@ -1,7 +1,7 @@
 //! The shipped sample model files must parse and solve to their documented
 //! optima — keeps `data/` and the examples honest.
 
-use gplex::{solve, solve_on, BackendKind, SolverOptions, Status};
+use gplex::{solve, try_solve_on, BackendKind, SolverOptions, Status};
 use gpu_sim::DeviceSpec;
 
 /// The three standard backends, for golden cross-backend regressions.
@@ -54,7 +54,7 @@ fn sample_files_pin_objectives_on_all_backends() {
     )
     .expect("sample.lp parses");
     for kind in all_backends() {
-        let a = solve_on::<f64>(&mps, &SolverOptions::default(), &kind);
+        let a = try_solve_on::<f64>(&mps, &SolverOptions::default(), &kind).unwrap();
         assert_eq!(a.status, Status::Optimal, "sample.mps on {kind:?}");
         assert!(
             (a.objective + 36.0).abs() < 1e-9,
@@ -62,7 +62,7 @@ fn sample_files_pin_objectives_on_all_backends() {
             a.objective
         );
 
-        let b = solve_on::<f64>(&lpf, &SolverOptions::default(), &kind);
+        let b = try_solve_on::<f64>(&lpf, &SolverOptions::default(), &kind).unwrap();
         assert_eq!(b.status, Status::Optimal, "sample.lp on {kind:?}");
         assert!(
             (b.objective - 13.0).abs() < 1e-9,

@@ -7,7 +7,7 @@
 
 use gplex::backends::GpuDenseBackend;
 use gplex::trace::TraceRecorder;
-use gplex::{try_solve_standard_recorded, BackendKind, RevisedSimplex, SolverOptions, Status};
+use gplex::{try_solve_standard, BackendKind, RevisedSimplex, SolverOptions, Status};
 use gpu_sim::{DeviceSpec, Gpu};
 use lp::generator;
 use lp::StandardForm;
@@ -55,10 +55,10 @@ fn fused_and_unfused_walk_identical_pivot_paths() {
 
         let mut rec_f = TraceRecorder::with_events(1 << 16);
         let fused =
-            try_solve_standard_recorded::<f64, _>(&sf, &opts(true), &kind, &mut rec_f).unwrap();
+            try_solve_standard::<f64, _>(&sf, &opts(true), &kind, None, None, &mut rec_f).unwrap();
         let mut rec_u = TraceRecorder::with_events(1 << 16);
         let unfused =
-            try_solve_standard_recorded::<f64, _>(&sf, &opts(false), &kind, &mut rec_u).unwrap();
+            try_solve_standard::<f64, _>(&sf, &opts(false), &kind, None, None, &mut rec_u).unwrap();
 
         assert_eq!(fused.status, Status::Optimal, "m={m} seed={seed}");
         assert_eq!(fused.status, unfused.status, "m={m} seed={seed}");

@@ -5,7 +5,7 @@
 
 use gplex::batch::{BatchOptions, BatchSolver, PlacementPolicy};
 use gplex::{
-    mega_compatible, solve_family_mega, solve_on, solve_standard, BackendKind, LaneOutcome,
+    mega_compatible, solve_family_mega, try_solve_on, try_solve_standard, BackendKind, LaneOutcome,
     NoopRecorder, Recorder, SolveError, SolverOptions, Status, StdResult, StepKind, TraceRecorder,
 };
 use gpu_sim::{DeviceSpec, Gpu};
@@ -56,7 +56,15 @@ fn assert_family_matches_solo(sfs: &[StandardForm<f64>], opts: &SolverOptions) {
     assert_eq!(lanes.len(), sfs.len());
     for (b, lane) in lanes.into_iter().enumerate() {
         let mega = lane.unwrap_or_else(|e| panic!("lane {b} failed: {e}"));
-        let solo = solve_standard::<f64>(&sfs[b], opts, &BackendKind::CpuDense);
+        let solo = try_solve_standard::<f64, _>(
+            &sfs[b],
+            opts,
+            &BackendKind::CpuDense,
+            None,
+            None,
+            &mut NoopRecorder,
+        )
+        .unwrap();
         assert_eq!(mega.status, solo.status, "lane {b} status");
         assert_eq!(mega.basis, solo.basis, "lane {b} terminal basis");
         assert_eq!(
@@ -167,7 +175,15 @@ fn degenerate_family_escalates_to_bland_like_solo() {
         ..raw_opts()
     };
     assert_family_matches_solo(&sfs, &opts);
-    let solo = solve_standard::<f64>(&sfs[0], &opts, &BackendKind::CpuDense);
+    let solo = try_solve_standard::<f64, _>(
+        &sfs[0],
+        &opts,
+        &BackendKind::CpuDense,
+        None,
+        None,
+        &mut NoopRecorder,
+    )
+    .unwrap();
     assert!(solo.stats.degenerate_steps > 0, "fixture must stall");
     assert!(
         solo.stats.bland_iterations > 0,
@@ -193,7 +209,8 @@ fn batch_solver_mega_matches_solo_pipeline_bitwise() {
     for (i, r) in report.results.iter().enumerate() {
         assert_eq!(r.backend, "batch-kernel", "job {i} must be grouped");
         let sol = r.outcome.solution().expect("solved");
-        let solo = solve_on::<f64>(&jobs[i], &SolverOptions::default(), &BackendKind::CpuDense);
+        let solo = try_solve_on::<f64>(&jobs[i], &SolverOptions::default(), &BackendKind::CpuDense)
+            .unwrap();
         assert_eq!(sol.status, solo.status, "job {i}");
         assert_eq!(
             sol.objective.to_bits(),
@@ -238,7 +255,8 @@ fn poisoned_member_fails_alone_without_corrupting_neighbors() {
             .outcome
             .solution()
             .expect("neighbor solved");
-        let solo = solve_on::<f64>(&jobs[i], &SolverOptions::default(), &BackendKind::CpuDense);
+        let solo = try_solve_on::<f64>(&jobs[i], &SolverOptions::default(), &BackendKind::CpuDense)
+            .unwrap();
         assert_eq!(sol.status, solo.status, "job {i}");
         assert_eq!(sol.objective.to_bits(), solo.objective.to_bits(), "job {i}");
         assert_eq!(
@@ -285,12 +303,28 @@ fn iteration_limit_member_statuses_and_idle_lanes_accrue_nothing() {
             }
             let a = standardize(&[generator::dense_random(8, 12, sa)]).remove(0);
             let b = standardize(&[generator::dense_random(8, 12, sb)]).remove(0);
-            let ia = solve_standard::<f64>(&a, &raw_opts(), &BackendKind::CpuDense)
-                .stats
-                .iterations;
-            let ib = solve_standard::<f64>(&b, &raw_opts(), &BackendKind::CpuDense)
-                .stats
-                .iterations;
+            let ia = try_solve_standard::<f64, _>(
+                &a,
+                &raw_opts(),
+                &BackendKind::CpuDense,
+                None,
+                None,
+                &mut NoopRecorder,
+            )
+            .unwrap()
+            .stats
+            .iterations;
+            let ib = try_solve_standard::<f64, _>(
+                &b,
+                &raw_opts(),
+                &BackendKind::CpuDense,
+                None,
+                None,
+                &mut NoopRecorder,
+            )
+            .unwrap()
+            .stats
+            .iterations;
             if ib >= ia + 2 {
                 picked = Some((a, b, ia, ib));
                 break 'outer;
@@ -395,7 +429,8 @@ fn mixed_shape_batch_drains_fully_with_disjoint_grouping_counters() {
     assert_ne!(singleton.backend, "batch-kernel", "singleton streams");
     for (i, r) in report.results.iter().enumerate() {
         let sol = r.outcome.solution().expect("solved");
-        let solo = solve_on::<f64>(&jobs[i], &SolverOptions::default(), &BackendKind::CpuDense);
+        let solo = try_solve_on::<f64>(&jobs[i], &SolverOptions::default(), &BackendKind::CpuDense)
+            .unwrap();
         assert_eq!(sol.status, solo.status, "job {i}");
         assert!(
             (sol.objective - solo.objective).abs() <= 1e-9 * solo.objective.abs().max(1.0),
@@ -500,7 +535,7 @@ fn mid_round_fault_evacuates_lanes_and_loses_zero_work() {
     let mut resumed_seen = 0usize;
     for (i, r) in report.results.iter().enumerate() {
         let sol = r.outcome.solution().expect("terminal solution");
-        let solo = solve_on::<f64>(&jobs[i], &clean, &BackendKind::CpuDense);
+        let solo = try_solve_on::<f64>(&jobs[i], &clean, &BackendKind::CpuDense).unwrap();
         assert_eq!(sol.status, solo.status, "job {i} status");
         assert_eq!(
             sol.objective.to_bits(),
@@ -702,7 +737,7 @@ fn silent_corruption_is_absorbed_by_lane_recovery() {
     );
     for (i, r) in report.results.iter().enumerate() {
         let sol = r.outcome.solution().expect("terminal solution");
-        let solo = solve_on::<f64>(&jobs[i], &clean, &BackendKind::CpuDense);
+        let solo = try_solve_on::<f64>(&jobs[i], &clean, &BackendKind::CpuDense).unwrap();
         assert_eq!(sol.status, solo.status, "job {i} status");
         assert_eq!(sol.status, Status::Optimal, "job {i} optimal");
         // The off-cadence reinversion reorders the lane's floating point,

@@ -7,9 +7,8 @@ use std::time::{Duration, Instant};
 use gplex::backends::CpuDenseBackend;
 use gplex::trace::{StepKind, TraceRecorder};
 use gplex::{
-    try_solve_standard, try_solve_standard_recorded, Backend, BackendError, BackendKind,
-    MetricValue, MetricsRegistry, RatioOutcome, RevisedSimplex, SolveError, SolverOptions, Status,
-    Step,
+    try_solve_standard, Backend, BackendError, BackendKind, MetricValue, MetricsRegistry,
+    NoopRecorder, RatioOutcome, RevisedSimplex, SolveError, SolverOptions, Status, Step,
 };
 use gpu_sim::{DeviceSpec, SimTime};
 use lp::generator::{self, fixtures};
@@ -168,7 +167,15 @@ fn phase_counters_partition_totals_on_every_backend() {
     for kind in backends() {
         for model in &models {
             let sf = StandardForm::<f64>::from_lp(model).unwrap();
-            let res = try_solve_standard::<f64>(&sf, &no_pipeline(), &kind).unwrap();
+            let res = try_solve_standard::<f64, _>(
+                &sf,
+                &no_pipeline(),
+                &kind,
+                None,
+                None,
+                &mut NoopRecorder,
+            )
+            .unwrap();
             res.stats
                 .check_invariants()
                 .unwrap_or_else(|e| panic!("{kind:?} on {}: {e}", model.name));
@@ -184,7 +191,15 @@ fn phase_counters_partition_totals_on_every_backend() {
     // trivially all-phase-1 or all-phase-2 would not test the partition).
     let both_phases = models.iter().any(|model| {
         let sf = StandardForm::<f64>::from_lp(model).unwrap();
-        let res = try_solve_standard::<f64>(&sf, &no_pipeline(), &BackendKind::CpuDense).unwrap();
+        let res = try_solve_standard::<f64, _>(
+            &sf,
+            &no_pipeline(),
+            &BackendKind::CpuDense,
+            None,
+            None,
+            &mut NoopRecorder,
+        )
+        .unwrap();
         res.stats.phase1_iterations > 0 && res.stats.phase2_iterations() > 0
     });
     assert!(both_phases, "no fixture iterated in both phases");
@@ -226,10 +241,12 @@ fn trace_spans_match_legacy_step_accounting() {
     let model = generator::dense_random(16, 24, 5);
     let sf = StandardForm::<f64>::from_lp(&model).unwrap();
     for kind in backends() {
-        let plain = try_solve_standard::<f64>(&sf, &no_pipeline(), &kind).unwrap();
+        let plain =
+            try_solve_standard::<f64, _>(&sf, &no_pipeline(), &kind, None, None, &mut NoopRecorder)
+                .unwrap();
         let mut rec = TraceRecorder::new();
         let traced =
-            try_solve_standard_recorded::<f64, _>(&sf, &no_pipeline(), &kind, &mut rec).unwrap();
+            try_solve_standard::<f64, _>(&sf, &no_pipeline(), &kind, None, None, &mut rec).unwrap();
 
         // Recording is invisible to the solve itself.
         assert_eq!(traced.status, plain.status, "{kind:?}");
@@ -301,10 +318,12 @@ fn same_seed_solves_produce_identical_event_traces() {
         let model = generator::dense_random(20, 28, 11);
         let sf = StandardForm::<f32>::from_lp(&model).unwrap();
         let mut rec = TraceRecorder::with_events(1 << 14);
-        try_solve_standard_recorded::<f32, _>(
+        try_solve_standard::<f32, _>(
             &sf,
             &no_pipeline(),
             &BackendKind::GpuDense(DeviceSpec::gtx280()),
+            None,
+            None,
             &mut rec,
         )
         .unwrap();
@@ -359,10 +378,12 @@ fn metrics_snapshot_agrees_with_solve_stats() {
     let model = generator::transportation(&[30.0, 70.0], &[40.0, 60.0], 3);
     let sf = StandardForm::<f64>::from_lp(&model).unwrap();
     let mut rec = TraceRecorder::new();
-    let res = try_solve_standard_recorded::<f64, _>(
+    let res = try_solve_standard::<f64, _>(
         &sf,
         &no_pipeline(),
         &BackendKind::CpuDense,
+        None,
+        None,
         &mut rec,
     )
     .unwrap();

@@ -4,12 +4,15 @@
 //! deterministic, and the resilient ladder must degrade *across* algorithm
 //! families when a backend is hosed.
 
+use std::sync::Arc;
+
 use gplex::pdhg::{self, PdhgOptions};
 use gplex::{
-    solve, AlgorithmChoice, BackendKind, ResilienceOptions, ResilientSolver, SolverOptions, Status,
+    solve, AlgorithmChoice, BackendKind, ResilienceOptions, ResilientSolver, SolveError,
+    SolverOptions, Status,
 };
 use gplex_suite::rel_err;
-use gpu_sim::{DeviceSpec, FaultConfig};
+use gpu_sim::{DeviceSpec, FaultConfig, Gpu};
 use lp::generator::{self, fixtures};
 
 fn backends() -> Vec<(&'static str, BackendKind)> {
@@ -149,6 +152,7 @@ fn hosed_gpu_degrades_across_the_pdhg_ladder_and_verifies() {
         &model,
         &SolverOptions::default(),
         &BackendKind::GpuDense(DeviceSpec::gtx280()),
+        None,
     );
     let sol = out.result.expect("CPU PDHG rung succeeds");
     assert_eq!(out.final_backend, "pdhg-cpu-dense");
@@ -162,4 +166,26 @@ fn hosed_gpu_degrades_across_the_pdhg_ladder_and_verifies() {
         sol.objective,
         golden.objective
     );
+}
+
+#[test]
+fn gpu_setup_fault_is_an_error_not_a_panic() {
+    // Every checked op faults, so the very first upload fails. The PDHG
+    // pipeline must report that as a device error — the same contract the
+    // simplex keeps — on a fresh device and on a stream of a shared one.
+    let (model, _) = fixtures::wyndor();
+    let opts = PdhgOptions {
+        faults: Some(FaultConfig::uniform(7, 1.0)),
+        ..Default::default()
+    };
+    let shared = Arc::new(Gpu::new(DeviceSpec::gtx280()));
+    for kind in [
+        BackendKind::GpuDense(DeviceSpec::gtx280()),
+        BackendKind::GpuShared(shared),
+    ] {
+        match pdhg::try_solve_on::<f64>(&model, &opts, &kind) {
+            Err(SolveError::Device(_)) => {}
+            other => panic!("{kind:?}: expected a device error, got {other:?}"),
+        }
+    }
 }

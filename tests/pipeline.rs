@@ -2,7 +2,7 @@
 //! standard form → scaling → revised simplex (all backends) → recovery →
 //! independent verification.
 
-use gplex::{solve, solve_on, tableau, verify, BackendKind, PivotRule, SolverOptions, Status};
+use gplex::{solve, tableau, try_solve_on, verify, BackendKind, PivotRule, SolverOptions, Status};
 use gplex_suite::{paper_opts, rel_err};
 use gpu_sim::DeviceSpec;
 use lp::generator::{self, fixtures};
@@ -28,7 +28,7 @@ fn fixtures_solve_identically_on_every_backend_and_precision() {
     ];
     for (model, expected) in cases {
         for kind in backends() {
-            let s64 = solve_on::<f64>(&model, &SolverOptions::default(), &kind);
+            let s64 = try_solve_on::<f64>(&model, &SolverOptions::default(), &kind).unwrap();
             assert_eq!(s64.status, Status::Optimal, "{} {kind:?} f64", model.name);
             assert!(
                 rel_err(s64.objective, expected) < 1e-7,
@@ -38,7 +38,7 @@ fn fixtures_solve_identically_on_every_backend_and_precision() {
             );
             verify::check_solution(&model, &s64, 1e-7).expect("f64 solution verifies");
 
-            let s32 = solve_on::<f32>(&model, &SolverOptions::default(), &kind);
+            let s32 = try_solve_on::<f32>(&model, &SolverOptions::default(), &kind).unwrap();
             assert_eq!(s32.status, Status::Optimal, "{} {kind:?} f32", model.name);
             assert!(
                 rel_err(s32.objective, expected) < 1e-3,
@@ -90,7 +90,7 @@ fn revised_simplex_agrees_with_tableau_oracle_on_random_instances() {
         let oracle = tableau::solve_standard(&sf, &paper_opts(m));
         assert_eq!(oracle.status, Status::Optimal);
         for kind in backends() {
-            let sol = solve_on::<f64>(&model, &paper_opts(m), &kind);
+            let sol = try_solve_on::<f64>(&model, &paper_opts(m), &kind).unwrap();
             assert_eq!(sol.status, Status::Optimal, "seed {seed} {kind:?}");
             assert!(
                 rel_err(sol.objective, sf.objective_from_std(oracle.z_std)) < 1e-7,
@@ -108,9 +108,9 @@ fn infeasible_and_unbounded_agree_across_backends_without_presolve() {
         ..Default::default()
     };
     for kind in backends() {
-        let inf = solve_on::<f64>(&fixtures::infeasible(), &opts, &kind);
+        let inf = try_solve_on::<f64>(&fixtures::infeasible(), &opts, &kind).unwrap();
         assert_eq!(inf.status, Status::Infeasible, "{kind:?}");
-        let unb = solve_on::<f64>(&fixtures::unbounded(), &opts, &kind);
+        let unb = try_solve_on::<f64>(&fixtures::unbounded(), &opts, &kind).unwrap();
         assert_eq!(unb.status, Status::Unbounded, "{kind:?}");
     }
 }
@@ -120,22 +120,24 @@ fn degenerate_network_problems_solve_on_gpu() {
     // Assignment problems are massively degenerate; transportation adds a
     // redundant row. Both must survive the GPU path end to end.
     let assign = generator::assignment(6, 3);
-    let sol = solve_on::<f64>(
+    let sol = try_solve_on::<f64>(
         &assign,
         &SolverOptions::default(),
         &BackendKind::GpuDense(DeviceSpec::gtx280()),
-    );
+    )
+    .unwrap();
     assert_eq!(sol.status, Status::Optimal);
     verify::check_solution(&assign, &sol, 1e-6).expect("assignment verifies");
     // Integral optimum (total assignment cost is a sum of integer costs).
     assert!((sol.objective - sol.objective.round()).abs() < 1e-6);
 
     let transport = generator::transportation(&[5.0, 9.0, 6.0], &[7.0, 5.0, 8.0], 13);
-    let sol = solve_on::<f64>(
+    let sol = try_solve_on::<f64>(
         &transport,
         &SolverOptions::default(),
         &BackendKind::GpuDense(DeviceSpec::gtx280()),
-    );
+    )
+    .unwrap();
     assert_eq!(sol.status, Status::Optimal);
     verify::check_solution(&transport, &sol, 1e-6).expect("transportation verifies");
 }
@@ -145,7 +147,7 @@ fn multi_period_staircase_solves_and_verifies_on_all_backends() {
     let model = generator::multi_period_production(10, 7);
     let mut objectives = Vec::new();
     for kind in backends() {
-        let sol = solve_on::<f64>(&model, &SolverOptions::default(), &kind);
+        let sol = try_solve_on::<f64>(&model, &SolverOptions::default(), &kind).unwrap();
         assert_eq!(sol.status, Status::Optimal, "{kind:?}");
         verify::check_solution(&model, &sol, 1e-6).expect("verifies");
         objectives.push(sol.objective);
@@ -169,7 +171,7 @@ fn bounded_variables_and_free_variables_round_trip() {
     model.add_constraint("cap", &[(x, 1.0), (y, 1.0), (z, 1.0)], Rel::Le, 10.0);
     model.add_constraint("ycap", &[(y, 1.0)], Rel::Le, 4.0);
     for kind in backends() {
-        let sol = solve_on::<f64>(&model, &SolverOptions::default(), &kind);
+        let sol = try_solve_on::<f64>(&model, &SolverOptions::default(), &kind).unwrap();
         assert_eq!(sol.status, Status::Optimal, "{kind:?}");
         assert!(
             rel_err(sol.objective, -10.0) < 1e-8,
@@ -243,9 +245,10 @@ fn klee_minty_is_exponential_under_dantzig_linear_under_bland() {
 fn gpu_sparse_and_dense_cpu_agree_on_sparse_instances() {
     let model = generator::sparse_random(40, 60, 0.1, 5);
     let opts = SolverOptions::default();
-    let dense = solve_on::<f64>(&model, &opts, &BackendKind::CpuDense);
-    let sparse = solve_on::<f64>(&model, &opts, &BackendKind::CpuSparse);
-    let gpu = solve_on::<f64>(&model, &opts, &BackendKind::GpuDense(DeviceSpec::gtx280()));
+    let dense = try_solve_on::<f64>(&model, &opts, &BackendKind::CpuDense).unwrap();
+    let sparse = try_solve_on::<f64>(&model, &opts, &BackendKind::CpuSparse).unwrap();
+    let gpu =
+        try_solve_on::<f64>(&model, &opts, &BackendKind::GpuDense(DeviceSpec::gtx280())).unwrap();
     assert_eq!(dense.status, Status::Optimal);
     assert_eq!(sparse.status, Status::Optimal);
     assert_eq!(gpu.status, Status::Optimal);

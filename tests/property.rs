@@ -2,7 +2,7 @@
 //! checks, cross-backend equivalence.
 
 use gplex::batch::{BatchOptions, BatchSolver, PlacementPolicy};
-use gplex::{solve, solve_on, verify, BackendKind, SolverOptions, Status};
+use gplex::{solve, try_solve_on, verify, BackendKind, SolverOptions, Status};
 use gpu_sim::DeviceSpec;
 use lp::generator;
 use lp::presolve::{presolve, PresolveResult};
@@ -38,8 +38,8 @@ proptest! {
     fn cpu_gpu_equivalence((m, n, seed) in small_dims()) {
         let model = generator::dense_random(m, n, seed);
         let opts = SolverOptions { presolve: false, scale: false, ..Default::default() };
-        let c = solve_on::<f64>(&model, &opts, &BackendKind::CpuDense);
-        let g = solve_on::<f64>(&model, &opts, &BackendKind::GpuDense(DeviceSpec::gtx280()));
+        let c = try_solve_on::<f64>(&model, &opts, &BackendKind::CpuDense).unwrap();
+        let g = try_solve_on::<f64>(&model, &opts, &BackendKind::GpuDense(DeviceSpec::gtx280())).unwrap();
         prop_assert_eq!(c.status, g.status);
         prop_assert!((c.objective - g.objective).abs() / c.objective.abs().max(1.0) < 1e-7,
             "cpu {} vs gpu {}", c.objective, g.objective);
@@ -89,9 +89,9 @@ proptest! {
     fn standard_form_solutions_recover_feasible((m, n, seed) in small_dims()) {
         let model = generator::dense_random(m, n, seed);
         let sf = StandardForm::<f64>::from_lp(&model).expect("standardizes");
-        let res = gplex::solve_standard::<f64>(&sf, &SolverOptions {
+        let res = gplex::try_solve_standard::<f64, _>(&sf, &SolverOptions {
             presolve: false, scale: false, ..Default::default()
-        }, &BackendKind::CpuDense);
+        }, &BackendKind::CpuDense, None, None, &mut gplex::NoopRecorder).unwrap();
         prop_assume!(res.status == Status::Optimal);
         let x = sf.recover_x(&res.x_std);
         prop_assert!(model.check_feasible(&x, 1e-6).is_none());
@@ -168,8 +168,8 @@ proptest! {
         let n = m + 4;
         let model = generator::sparse_random(m, n, 0.3, seed);
         let opts = SolverOptions { presolve: false, scale: false, ..Default::default() };
-        let d = solve_on::<f64>(&model, &opts, &BackendKind::CpuDense);
-        let s = solve_on::<f64>(&model, &opts, &BackendKind::CpuSparse);
+        let d = try_solve_on::<f64>(&model, &opts, &BackendKind::CpuDense).unwrap();
+        let s = try_solve_on::<f64>(&model, &opts, &BackendKind::CpuSparse).unwrap();
         prop_assert_eq!(d.status, s.status);
         if d.status == Status::Optimal {
             prop_assert!((d.objective - s.objective).abs() / d.objective.abs().max(1.0) < 1e-8);
@@ -183,18 +183,18 @@ proptest! {
     /// terminal basis, not of the pivot path that reached it.
     #[test]
     fn warm_restart_is_bitwise_equal_to_cold((m, n, seed) in small_dims()) {
-        use gplex::{solve_on_warm, BasisCache, WarmContext, WarmStartPolicy};
+        use gplex::{try_solve_on_warm, BasisCache, WarmContext, WarmStartPolicy};
         let model = generator::dense_random(m, n, seed);
         let opts = SolverOptions::default();
         for kind in [BackendKind::CpuDense, BackendKind::CpuSparse,
                      BackendKind::GpuDense(DeviceSpec::gtx280())] {
             let cache = BasisCache::new(4);
             let ctx = WarmContext { cache: &cache, policy: WarmStartPolicy::Family { tol: 1e-6 } };
-            let cold = solve_on_warm::<f64>(&model, &opts, &kind, Some(&ctx));
+            let cold = try_solve_on_warm::<f64>(&model, &opts, &kind, Some(&ctx), None).unwrap();
             prop_assert_eq!(cold.status, Status::Optimal);
             prop_assert_eq!(cold.stats.warm_start_attempted, 0);
 
-            let warm = solve_on_warm::<f64>(&model, &opts, &kind, Some(&ctx));
+            let warm = try_solve_on_warm::<f64>(&model, &opts, &kind, Some(&ctx), None).unwrap();
             prop_assert_eq!(warm.status, Status::Optimal);
             prop_assert_eq!(warm.stats.warm_start_attempted, 1);
             prop_assert_eq!(warm.stats.warm_start_rejected, 0);
@@ -214,7 +214,7 @@ proptest! {
     /// checkpoint iteration onward.
     #[test]
     fn resume_from_checkpoint_is_bitwise_identical((m, n, seed) in small_dims()) {
-        use gplex::{try_solve_standard_ckpt, CheckpointSlot};
+        use gplex::{try_solve_standard, NoopRecorder, RecoveryContext, CheckpointSlot};
         let model = generator::dense_random(m, n, seed);
         let sf = StandardForm::<f64>::from_lp(&model).expect("standardizes");
         // Tight cadence so even small instances cross a snapshot boundary.
@@ -226,7 +226,7 @@ proptest! {
         for kind in [BackendKind::CpuDense, BackendKind::CpuSparse,
                      BackendKind::GpuDense(DeviceSpec::gtx280())] {
             let slot = CheckpointSlot::new();
-            let solo = try_solve_standard_ckpt::<f64>(&sf, &opts, &kind, None, &slot, None)
+            let solo = try_solve_standard::<f64, _>(&sf, &opts, &kind, None, Some(RecoveryContext { slot: &slot, resume: None }), &mut NoopRecorder)
                 .expect("uninterrupted solve succeeds");
             let Some(cp) = slot.checkpoint() else {
                 // Converged before the first boundary: nothing to resume.
@@ -239,7 +239,7 @@ proptest! {
 
             let slot2 = CheckpointSlot::new();
             let resumed =
-                try_solve_standard_ckpt::<f64>(&sf, &opts, &kind, None, &slot2, Some(cp))
+                try_solve_standard::<f64, _>(&sf, &opts, &kind, None, Some(RecoveryContext { slot: &slot2, resume: Some(cp) }), &mut NoopRecorder)
                     .expect("resumed solve succeeds");
             prop_assert_eq!(resumed.status, solo.status);
             prop_assert_eq!(resumed.basis.clone(), solo.basis.clone());
@@ -261,16 +261,16 @@ proptest! {
     /// reaches the same answer as its own cold solve, in no more pivots.
     #[test]
     fn family_warm_start_matches_cold_answer((m, n, seed) in small_dims()) {
-        use gplex::{solve_on_warm, BasisCache, WarmContext, WarmStartPolicy};
+        use gplex::{try_solve_on_warm, BasisCache, WarmContext, WarmStartPolicy};
         let family = generator::perturbed_family(2, m, n, seed, 1e-3);
         let opts = SolverOptions::default();
         let cache = BasisCache::new(4);
         let ctx = WarmContext { cache: &cache, policy: WarmStartPolicy::Family { tol: 1e-6 } };
-        let seed_sol = solve_on_warm::<f64>(&family[0], &opts, &BackendKind::CpuDense, Some(&ctx));
+        let seed_sol = try_solve_on_warm::<f64>(&family[0], &opts, &BackendKind::CpuDense, Some(&ctx), None).unwrap();
         prop_assert_eq!(seed_sol.status, Status::Optimal);
 
-        let warm = solve_on_warm::<f64>(&family[1], &opts, &BackendKind::CpuDense, Some(&ctx));
-        let cold = solve_on::<f64>(&family[1], &opts, &BackendKind::CpuDense);
+        let warm = try_solve_on_warm::<f64>(&family[1], &opts, &BackendKind::CpuDense, Some(&ctx), None).unwrap();
+        let cold = try_solve_on::<f64>(&family[1], &opts, &BackendKind::CpuDense).unwrap();
         prop_assert_eq!(warm.status, cold.status);
         prop_assert_eq!(cache.stats().hits, 1, "siblings share a family key");
         prop_assert!(warm.stats.iterations <= cold.stats.iterations,

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use gplex::batch::PlacementPolicy;
 use gplex::{
-    solve_on, verify, BackendKind, BatchOptions, BatchSolver, ResilienceOptions, SolveError,
+    try_solve_on, verify, BackendKind, BatchOptions, BatchSolver, ResilienceOptions, SolveError,
     SolverOptions, Status,
 };
 use gpu_sim::{DeviceSpec, FaultConfig, Gpu};
@@ -69,7 +69,8 @@ fn faulted_batch_drains_with_terminal_jobs_and_bitwise_cpu_answers() {
         let sol = r.outcome.solution().expect("terminal solution");
         if r.backend == "cpu-dense" {
             let golden =
-                solve_on::<f64>(&jobs[i], &SolverOptions::default(), &BackendKind::CpuDense);
+                try_solve_on::<f64>(&jobs[i], &SolverOptions::default(), &BackendKind::CpuDense)
+                    .unwrap();
             assert_eq!(sol.status, golden.status, "job {i}");
             assert_eq!(
                 sol.objective.to_bits(),
@@ -124,7 +125,7 @@ fn deadline_is_enforced_as_timeout_error() {
         time_limit: Some(0.0),
         ..Default::default()
     };
-    match gplex::try_solve::<f64>(&model, &opts) {
+    match gplex::try_solve_on::<f64>(&model, &opts, &BackendKind::CpuDense) {
         Err(e @ SolveError::Timeout { .. }) => assert_eq!(e.tag(), "timeout"),
         other => panic!("expected Timeout, got {other:?}"),
     }
@@ -144,7 +145,7 @@ fn iteration_limit_best_effort_never_passes_as_optimal() {
         max_iterations: Some(1),
         ..Default::default()
     };
-    let mut sol = solve_on::<f64>(&model, &opts, &BackendKind::CpuDense);
+    let mut sol = try_solve_on::<f64>(&model, &opts, &BackendKind::CpuDense).unwrap();
     assert_eq!(sol.status, Status::IterationLimit);
     // Honest status: nothing is certified, nothing errors.
     verify::check_solution(&model, &sol, 1e-8).expect("IterationLimit is not certified");
@@ -165,7 +166,15 @@ fn iteration_limit_best_effort_never_passes_as_optimal() {
         max_iterations: Some(1),
         ..Default::default()
     };
-    let mut res = gplex::solve_standard::<f64>(&sf, &raw, &BackendKind::CpuDense);
+    let mut res = gplex::try_solve_standard::<f64, _>(
+        &sf,
+        &raw,
+        &BackendKind::CpuDense,
+        None,
+        None,
+        &mut gplex::NoopRecorder,
+    )
+    .unwrap();
     assert_eq!(res.status, Status::IterationLimit);
     assert_eq!(
         verify::certify_optimal(&sf, &res, 1e-8),
@@ -252,7 +261,7 @@ fn setup_fault_surfaces_as_device_error_not_panic() {
 /// and still warm-starts — zero iterations from the family's optimal basis.
 #[test]
 fn degraded_job_keeps_its_warm_start() {
-    use gplex::{solve_on_warm, BasisCache, ResilientSolver, WarmContext, WarmStartPolicy};
+    use gplex::{try_solve_on_warm, BasisCache, ResilientSolver, WarmContext, WarmStartPolicy};
 
     let model = generator::dense_random(10, 14, 5);
     let opts = SolverOptions::default();
@@ -262,7 +271,8 @@ fn degraded_job_keeps_its_warm_start() {
         policy: WarmStartPolicy::Family { tol: 1e-6 },
     };
     // Seed the cache with the model's optimal basis via a cold CPU solve.
-    let seed = solve_on_warm::<f64>(&model, &opts, &BackendKind::CpuDense, Some(&ctx));
+    let seed =
+        try_solve_on_warm::<f64>(&model, &opts, &BackendKind::CpuDense, Some(&ctx), None).unwrap();
     assert_eq!(seed.status, Status::Optimal);
     assert_eq!(cache.stats().insertions, 1);
 
@@ -271,7 +281,7 @@ fn degraded_job_keeps_its_warm_start() {
         faults: Some(FaultConfig::uniform(7, 1.0)),
         ..Default::default()
     });
-    let out = solver.solve_job_warm::<f64>(
+    let out = solver.solve_job::<f64>(
         3,
         &model,
         &opts,
@@ -303,6 +313,7 @@ fn degraded_job_keeps_its_warm_start() {
             &model,
             &opts,
             &BackendKind::GpuDense(DeviceSpec::gtx280()),
+            None,
         )
         .result
         .expect("CPU rung always succeeds");
@@ -330,7 +341,8 @@ fn resilient_solver_resumes_from_checkpoint_on_retry() {
     // on every pivot and on the final answer bitwise, but the fingerprint
     // folds theta bits, which can differ in reduction order across
     // backends mid-path.
-    let golden = solve_on::<f64>(&model, &opts, &BackendKind::GpuDense(DeviceSpec::gtx280()));
+    let golden =
+        try_solve_on::<f64>(&model, &opts, &BackendKind::GpuDense(DeviceSpec::gtx280())).unwrap();
     assert_eq!(golden.status, Status::Optimal);
 
     // A certain kernel fault past a 300-op warmup: the scratch attempt dies
@@ -349,6 +361,7 @@ fn resilient_solver_resumes_from_checkpoint_on_retry() {
         &model,
         &opts,
         &BackendKind::GpuDense(DeviceSpec::gtx280()),
+        None,
     );
     let sol = out.result.expect("resumed attempt finishes");
     assert_eq!(out.final_backend, "gpu-dense", "no degradation needed");
@@ -390,7 +403,7 @@ fn gpu_checkpoint_resumes_on_cpu_rung_after_degradation() {
         checkpoint_interval: 4,
         ..Default::default()
     };
-    let golden = solve_on::<f64>(&model, &opts, &BackendKind::CpuDense);
+    let golden = try_solve_on::<f64>(&model, &opts, &BackendKind::CpuDense).unwrap();
 
     let solver = ResilientSolver::new(ResilienceOptions {
         faults: Some(FaultConfig {
@@ -409,6 +422,7 @@ fn gpu_checkpoint_resumes_on_cpu_rung_after_degradation() {
         &model,
         &opts,
         &BackendKind::GpuDense(DeviceSpec::gtx280()),
+        None,
     );
     let sol = out.result.expect("CPU rung always completes");
     assert_eq!(out.final_backend, "cpu-dense");
@@ -450,7 +464,7 @@ fn repeated_faults_do_not_double_count_wasted_iterations() {
         checkpoint_interval: 2,
         ..Default::default()
     };
-    let golden = solve_on::<f64>(&model, &opts, &BackendKind::CpuDense);
+    let golden = try_solve_on::<f64>(&model, &opts, &BackendKind::CpuDense).unwrap();
     assert_eq!(golden.status, Status::Optimal);
 
     // 600 warmup ops ≈ four iterations of device work at m = 24: every GPU
@@ -473,6 +487,7 @@ fn repeated_faults_do_not_double_count_wasted_iterations() {
         &model,
         &opts,
         &BackendKind::GpuDense(DeviceSpec::gtx280()),
+        None,
     );
     let sol = out.result.expect("CPU rung finishes after the ladder");
     assert_eq!(out.final_backend, "cpu-dense");

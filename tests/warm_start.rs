@@ -5,8 +5,8 @@
 use gplex::backends::CpuDenseBackend;
 use gplex::Backend as _;
 use gplex::{
-    solve_on, solve_on_warm, solve_standard, solve_standard_with_basis, BackendKind, BasisCache,
-    BatchOptions, BatchSolver, PlacementPolicy, RevisedSimplex, SolverOptions, Status, WarmContext,
+    try_solve_on, try_solve_on_warm, try_solve_standard, BackendKind, BasisCache, BatchOptions,
+    BatchSolver, NoopRecorder, PlacementPolicy, RevisedSimplex, SolverOptions, Status, WarmContext,
     WarmStartPolicy,
 };
 use gpu_sim::DeviceSpec;
@@ -33,11 +33,20 @@ fn restarting_from_the_optimal_basis_takes_zero_iterations() {
     let model = generator::dense_random(20, 30, 8);
     let sf = StandardForm::<f64>::from_lp(&model).expect("standardizes");
     for kind in backends() {
-        let cold = solve_standard::<f64>(&sf, &opts(), &kind);
+        let cold = try_solve_standard::<f64, _>(&sf, &opts(), &kind, None, None, &mut NoopRecorder)
+            .unwrap();
         assert_eq!(cold.status, Status::Optimal, "{kind:?}");
         assert!(cold.stats.iterations > 0);
 
-        let warm = solve_standard_with_basis::<f64>(&sf, &opts(), &kind, cold.basis.clone());
+        let warm = try_solve_standard::<f64, _>(
+            &sf,
+            &opts(),
+            &kind,
+            Some(cold.basis.clone()),
+            None,
+            &mut NoopRecorder,
+        )
+        .unwrap();
         assert_eq!(warm.status, Status::Optimal, "{kind:?}");
         assert_eq!(
             warm.stats.iterations, 0,
@@ -58,7 +67,15 @@ fn warm_start_from_perturbed_model_converges_faster() {
     // costs) from A's basis — the classic reoptimization pattern.
     let a = generator::dense_random(24, 36, 5);
     let sf_a = StandardForm::<f64>::from_lp(&a).expect("standardizes");
-    let base = solve_standard::<f64>(&sf_a, &opts(), &BackendKind::CpuDense);
+    let base = try_solve_standard::<f64, _>(
+        &sf_a,
+        &opts(),
+        &BackendKind::CpuDense,
+        None,
+        None,
+        &mut NoopRecorder,
+    )
+    .unwrap();
     assert_eq!(base.status, Status::Optimal);
 
     // Perturb the rhs by +5%: the optimal basis stays feasible (scaling b
@@ -69,13 +86,24 @@ fn warm_start_from_perturbed_model_converges_faster() {
         *v *= 1.05;
     }
 
-    let cold = solve_standard::<f64>(&sf_b, &opts(), &BackendKind::CpuDense);
-    let warm = solve_standard_with_basis::<f64>(
+    let cold = try_solve_standard::<f64, _>(
         &sf_b,
         &opts(),
         &BackendKind::CpuDense,
-        base.basis.clone(),
-    );
+        None,
+        None,
+        &mut NoopRecorder,
+    )
+    .unwrap();
+    let warm = try_solve_standard::<f64, _>(
+        &sf_b,
+        &opts(),
+        &BackendKind::CpuDense,
+        Some(base.basis.clone()),
+        None,
+        &mut NoopRecorder,
+    )
+    .unwrap();
     assert_eq!(cold.status, Status::Optimal);
     assert_eq!(warm.status, Status::Optimal);
     assert!((cold.z_std - warm.z_std).abs() / cold.z_std.abs().max(1.0) < 1e-9);
@@ -91,12 +119,28 @@ fn warm_start_from_perturbed_model_converges_faster() {
 fn singular_warm_basis_falls_back_to_cold_start() {
     let model = generator::dense_random(12, 18, 3);
     let sf = StandardForm::<f64>::from_lp(&model).expect("standardizes");
-    let cold = solve_standard::<f64>(&sf, &opts(), &BackendKind::CpuDense);
+    let cold = try_solve_standard::<f64, _>(
+        &sf,
+        &opts(),
+        &BackendKind::CpuDense,
+        None,
+        None,
+        &mut NoopRecorder,
+    )
+    .unwrap();
 
     // Duplicate column → singular basis.
     let mut bad = cold.basis.clone();
     bad[1] = bad[0];
-    let warm = solve_standard_with_basis::<f64>(&sf, &opts(), &BackendKind::CpuDense, bad);
+    let warm = try_solve_standard::<f64, _>(
+        &sf,
+        &opts(),
+        &BackendKind::CpuDense,
+        Some(bad),
+        None,
+        &mut NoopRecorder,
+    )
+    .unwrap();
     assert_eq!(warm.status, Status::Optimal);
     assert!((warm.z_std - cold.z_std).abs() < 1e-9);
     assert!(warm.stats.iterations > 0, "fallback must actually re-solve");
@@ -106,10 +150,26 @@ fn singular_warm_basis_falls_back_to_cold_start() {
 fn malformed_warm_basis_is_ignored() {
     let model = generator::dense_random(10, 14, 2);
     let sf = StandardForm::<f64>::from_lp(&model).expect("standardizes");
-    let cold = solve_standard::<f64>(&sf, &opts(), &BackendKind::CpuDense);
+    let cold = try_solve_standard::<f64, _>(
+        &sf,
+        &opts(),
+        &BackendKind::CpuDense,
+        None,
+        None,
+        &mut NoopRecorder,
+    )
+    .unwrap();
     // Wrong length and out-of-range columns are both rejected up front.
     for bad in [vec![0usize; 3], vec![sf.num_cols() + 5; sf.num_rows()]] {
-        let warm = solve_standard_with_basis::<f64>(&sf, &opts(), &BackendKind::CpuDense, bad);
+        let warm = try_solve_standard::<f64, _>(
+            &sf,
+            &opts(),
+            &BackendKind::CpuDense,
+            Some(bad),
+            None,
+            &mut NoopRecorder,
+        )
+        .unwrap();
         assert_eq!(warm.status, Status::Optimal);
         assert!((warm.z_std - cold.z_std).abs() < 1e-9);
     }
@@ -121,7 +181,15 @@ fn infeasible_warm_basis_falls_back() {
     // β has negative entries by solving a different rhs sign structure.
     let model = generator::dense_random(8, 12, 4);
     let sf = StandardForm::<f64>::from_lp(&model).expect("standardizes");
-    let cold = solve_standard::<f64>(&sf, &opts(), &BackendKind::CpuDense);
+    let cold = try_solve_standard::<f64, _>(
+        &sf,
+        &opts(),
+        &BackendKind::CpuDense,
+        None,
+        None,
+        &mut NoopRecorder,
+    )
+    .unwrap();
 
     // Shrink the rhs so the old optimal basis becomes primal-infeasible
     // with decent probability; whether or not it does, the answer must be
@@ -130,9 +198,24 @@ fn infeasible_warm_basis_falls_back() {
     for v in sf2.b.iter_mut() {
         *v *= 0.2;
     }
-    let cold2 = solve_standard::<f64>(&sf2, &opts(), &BackendKind::CpuDense);
-    let warm2 =
-        solve_standard_with_basis::<f64>(&sf2, &opts(), &BackendKind::CpuDense, cold.basis.clone());
+    let cold2 = try_solve_standard::<f64, _>(
+        &sf2,
+        &opts(),
+        &BackendKind::CpuDense,
+        None,
+        None,
+        &mut NoopRecorder,
+    )
+    .unwrap();
+    let warm2 = try_solve_standard::<f64, _>(
+        &sf2,
+        &opts(),
+        &BackendKind::CpuDense,
+        Some(cold.basis.clone()),
+        None,
+        &mut NoopRecorder,
+    )
+    .unwrap();
     assert_eq!(warm2.status, cold2.status);
     if cold2.status == Status::Optimal {
         assert!((warm2.z_std - cold2.z_std).abs() / cold2.z_std.abs().max(1.0) < 1e-8);
@@ -152,14 +235,17 @@ fn rejected_warm_basis_is_a_recorded_cold_fallback() {
     let model = generator::dense_random(12, 18, 3);
     let sf = StandardForm::<f64>::from_lp(&model).expect("standardizes");
     for kind in backends() {
-        let cold = solve_standard::<f64>(&sf, &opts(), &kind);
+        let cold = try_solve_standard::<f64, _>(&sf, &opts(), &kind, None, None, &mut NoopRecorder)
+            .unwrap();
         assert_eq!(cold.stats.warm_start_attempted, 0, "{kind:?}: cold solve");
         assert_eq!(cold.stats.warm_start_rejected, 0, "{kind:?}");
 
         // Duplicate column → singular candidate → validated, rejected once.
         let mut bad = cold.basis.clone();
         bad[1] = bad[0];
-        let warm = solve_standard_with_basis::<f64>(&sf, &opts(), &kind, bad);
+        let warm =
+            try_solve_standard::<f64, _>(&sf, &opts(), &kind, Some(bad), None, &mut NoopRecorder)
+                .unwrap();
         assert_eq!(warm.status, Status::Optimal, "{kind:?}");
         assert_eq!(warm.stats.warm_start_attempted, 1, "{kind:?}");
         assert_eq!(warm.stats.warm_start_rejected, 1, "{kind:?}");
@@ -168,7 +254,15 @@ fn rejected_warm_basis_is_a_recorded_cold_fallback() {
         warm.stats.check_invariants().unwrap();
 
         // Accepted warm start: attempted without rejection, phase 1 skipped.
-        let ok = solve_standard_with_basis::<f64>(&sf, &opts(), &kind, cold.basis.clone());
+        let ok = try_solve_standard::<f64, _>(
+            &sf,
+            &opts(),
+            &kind,
+            Some(cold.basis.clone()),
+            None,
+            &mut NoopRecorder,
+        )
+        .unwrap();
         assert_eq!(ok.stats.warm_start_attempted, 1, "{kind:?}");
         assert_eq!(ok.stats.warm_start_rejected, 0, "{kind:?}");
         assert_eq!(ok.stats.phase1_iterations, 0, "{kind:?}");
@@ -186,7 +280,15 @@ fn rejected_warm_path_charges_land_exactly_once() {
     let model = generator::dense_random(14, 20, 6);
     let sf = StandardForm::<f64>::from_lp(&model).expect("standardizes");
     let n_active = sf.num_cols() - sf.num_artificials;
-    let cold = solve_standard::<f64>(&sf, &opts(), &BackendKind::CpuDense);
+    let cold = try_solve_standard::<f64, _>(
+        &sf,
+        &opts(),
+        &BackendKind::CpuDense,
+        None,
+        None,
+        &mut NoopRecorder,
+    )
+    .unwrap();
     let mut bad = cold.basis.clone();
     bad[1] = bad[0];
 
@@ -226,8 +328,8 @@ fn pipeline_cache_turns_family_members_into_warm_solves() {
         };
         let mut iters = Vec::new();
         for (k, lp) in family.iter().enumerate() {
-            let warm = solve_on_warm::<f64>(lp, &opts, &kind, Some(&ctx));
-            let cold = solve_on::<f64>(lp, &opts, &kind);
+            let warm = try_solve_on_warm::<f64>(lp, &opts, &kind, Some(&ctx), None).unwrap();
+            let cold = try_solve_on::<f64>(lp, &opts, &kind).unwrap();
             assert_eq!(warm.status, Status::Optimal, "{kind:?} member {k}");
             assert_eq!(
                 warm.objective.to_bits(),
@@ -271,11 +373,14 @@ fn exact_policy_only_hits_identical_instances() {
         policy: WarmStartPolicy::Exact,
     };
     for lp in &family {
-        let sol = solve_on_warm::<f64>(lp, &opts, &BackendKind::CpuDense, Some(&ctx));
+        let sol =
+            try_solve_on_warm::<f64>(lp, &opts, &BackendKind::CpuDense, Some(&ctx), None).unwrap();
         assert_eq!(sol.status, Status::Optimal);
     }
     assert_eq!(cache.stats().hits, 0, "perturbed siblings are not exact");
-    let again = solve_on_warm::<f64>(&family[0], &opts, &BackendKind::CpuDense, Some(&ctx));
+    let again =
+        try_solve_on_warm::<f64>(&family[0], &opts, &BackendKind::CpuDense, Some(&ctx), None)
+            .unwrap();
     assert_eq!(again.stats.warm_start_attempted, 1);
     assert_eq!(again.stats.iterations, 0, "exact re-solve restarts at opt");
     assert_eq!(cache.stats().hits, 1);
@@ -438,12 +543,14 @@ fn primal_infeasible_cached_basis_is_rejected_not_clamped_feasible() {
         policy: WarmStartPolicy::Family { tol: 1e-6 },
     };
 
-    let cold_seed = solve_on_warm::<f64>(&seed, &opts, &BackendKind::CpuDense, Some(&ctx));
+    let cold_seed =
+        try_solve_on_warm::<f64>(&seed, &opts, &BackendKind::CpuDense, Some(&ctx), None).unwrap();
     assert_eq!(cold_seed.status, Status::Optimal);
     assert_eq!(cache.stats().insertions, 1, "seed optimum enters the cache");
 
-    let warm = solve_on_warm::<f64>(&sibling, &opts, &BackendKind::CpuDense, Some(&ctx));
-    let cold = solve_on::<f64>(&sibling, &opts, &BackendKind::CpuDense);
+    let warm = try_solve_on_warm::<f64>(&sibling, &opts, &BackendKind::CpuDense, Some(&ctx), None)
+        .unwrap();
+    let cold = try_solve_on::<f64>(&sibling, &opts, &BackendKind::CpuDense).unwrap();
 
     assert_eq!(cache.stats().hits, 1, "siblings share a family key");
     assert_eq!(warm.stats.warm_start_attempted, 1);
